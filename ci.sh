@@ -195,6 +195,18 @@ echo "== trace-ingestion baseline (quick vs BENCH_trace.json) =="
 cargo run --release -q -p pnoc-bench --offline --bin trace -- \
   bench --quick --json BENCH_trace.ci.json --check BENCH_trace.json
 
+echo "== benchmark smoke (perfbench --trace 1, all four workloads) =="
+# The repository benchmark's own correctness checks, not its timing: in
+# every traced pass each driven run must reproduce its untraced twin's
+# RunSummary byte for byte and pass the workload's simulated checks.
+# perfbench exits non-zero when any fails. Runs before the wall-clock perf
+# gate below so a noisy host cannot hide a correctness failure.
+for workload in app-replay qos-sweep cmp-closed-loop fault-drill; do
+  cargo run --quiet --release --offline --manifest-path perfbench/Cargo.toml -- \
+    --workload "$workload" --seed 1 --seconds 2 --trace 1 > /dev/null
+done
+echo "benchmark smoke: all four workloads correct, traced runs match untraced"
+
 echo "== perf baseline (quick sweep vs BENCH_perf.json) =="
 # Simulator-throughput regression gate: re-measure the 64-node sweep at
 # reduced fidelity, validate the report schema, and fail if aggregate

@@ -26,6 +26,12 @@
 //! A token granted in cycle *t* is used to transmit in *t + 1* (paper Figs.
 //! 3 and 5: the token arrives one cycle before the data flit follows it).
 //!
+//! A channel with nothing to do may sleep instead: once
+//! [`Channel::is_quiescent`] holds, an idle cycle changes only phases that
+//! are closed-form in elapsed cycles, so the network stops stepping it and
+//! [`Channel::wake`] catches it up in O(1) when its next packet arrives
+//! (DESIGN.md §18).
+//!
 //! The per-cycle path is allocation-free and branch-light: ring positions
 //! come from lookup tables precomputed at construction, and per-sender
 //! predicates live in packed [`Planes`] bitmasks, so the transmit and token
@@ -140,6 +146,9 @@ pub struct Channel<A = ArbiterKind, F = FlowKind> {
     injector: Option<ChannelInjector>,
     /// Sender-side ACK-timeout retransmission parameters.
     recovery: RecoveryConfig,
+    /// First cycle not yet applied while the channel sleeps (see
+    /// [`Channel::sleep`]); meaningless while it is awake.
+    asleep_from: Cycle,
 }
 
 impl Channel {
@@ -219,6 +228,7 @@ impl<A: Arbiter, F: Flow> Channel<A, F> {
             served_by_sender: vec![0; cfg.nodes],
             injector,
             recovery: cfg.recovery,
+            asleep_from: 0,
         }
     }
 
@@ -256,6 +266,69 @@ impl<A: Arbiter, F: Flow> Channel<A, F> {
             && self.flow.pending_acks() == 0
             && !self.planes.granted.any()
             && self.senders.iter().all(OutQueue::is_idle)
+    }
+
+    /// Whether stepping this channel through an idle cycle (no enqueue)
+    /// would change nothing but phases that are closed-form in elapsed
+    /// cycles — the state in which [`Channel::sleep`] may stop stepping
+    /// it. Requires: nothing queued, set aside, on the ring, buffered or
+    /// draining; no grant; no suppressed emission; no fault injector (it
+    /// draws randomness every cycle); flow, arbiter and admission buckets
+    /// at their idle fixed points.
+    pub fn is_quiescent(&self) -> bool {
+        self.queued_total == 0
+            && self.arena.live() == 0
+            && self.data.is_empty()
+            && self.input_queue.is_empty()
+            && self.releases.is_empty()
+            && !self.planes.granted.any()
+            && !self.suppress_token
+            && self.injector.is_none()
+            && self.flow.is_idle()
+            && self.admission.as_ref().is_none_or(AdmissionCtl::is_full)
+            && self.arbiter.idle_fixed_point(
+                &self.flow,
+                self.topo.nodes,
+                self.sweep_step,
+                self.buffer_cap,
+            )
+    }
+
+    /// Stop stepping this quiescent channel after cycle `now`. Until
+    /// [`Channel::wake`], its observable state (audit views, drain checks,
+    /// occupancy samples, service counts) is exactly what stepping every
+    /// cycle would produce, because a quiescent channel's idle cycles only
+    /// rotate phases nothing observes.
+    pub fn sleep(&mut self, now: Cycle) {
+        debug_assert!(self.is_quiescent(), "only a quiescent channel sleeps");
+        self.asleep_from = now + 1;
+    }
+
+    /// Resume a sleeping channel at cycle `now`, before anything else
+    /// touches it this cycle: replay the idle cycles since
+    /// [`Channel::sleep`] in O(1). Only the global token's sweep needs it.
+    /// The ring is empty, and every slot access is relative to its
+    /// rotation, so leaving it unrotated is unobservable; the empty
+    /// calendars are fast-forwarded by this cycle's own phases before
+    /// anything can be scheduled into them.
+    pub fn wake(&mut self, now: Cycle) {
+        self.arbiter.idle_advance(
+            &mut self.flow,
+            now - self.asleep_from,
+            self.topo.nodes,
+            self.sweep_step,
+        );
+    }
+
+    /// Run all six phases for cycle `now` (the order the module docs list).
+    #[inline]
+    pub fn step(&mut self, now: Cycle, m: &mut NetworkMetrics, deliveries: &mut Vec<Delivery>) {
+        self.phase_advance();
+        self.phase_arrival(now, m);
+        self.phase_acks(now, m);
+        self.phase_transmit(now, m);
+        self.phase_tokens(now, m);
+        self.phase_eject(now, m, deliveries);
     }
 
     /// Home input-buffer occupancy, including slots held by flits still in
@@ -978,12 +1051,7 @@ mod tests {
         cycles: u64,
     ) {
         for now in from..from + cycles {
-            ch.phase_advance();
-            ch.phase_arrival(now, m);
-            ch.phase_acks(now, m);
-            ch.phase_transmit(now, m);
-            ch.phase_tokens(now, m);
-            ch.phase_eject(now, m, deliveries);
+            ch.step(now, m, deliveries);
             ch.check_invariants();
         }
     }
@@ -1237,6 +1305,93 @@ mod tests {
             with > without,
             "sit-out should help the far node ({with} vs {without})"
         );
+    }
+
+    /// Drive two copies of a channel through the same sparse injections:
+    /// one stepped every cycle, one put to sleep whenever it is quiescent
+    /// and woken by its next enqueue. No observer may tell them apart, and
+    /// after a wake their complete states must be equal.
+    fn check_sleep_is_unobservable(config: &NetworkConfig) -> u64 {
+        let mut stepped = Channel::new(0, config);
+        let mut sleepy = stepped.clone();
+        let (mut ma, mut mb) = (NetworkMetrics::new(), NetworkMetrics::new());
+        let (mut da, mut db) = (Vec::new(), Vec::new());
+        let (mut ka, mut kb) = (Vec::new(), Vec::new());
+        let mut asleep = false;
+        let mut slept = 0;
+        let mut id = 0;
+        let same_state = |a: &Channel, b: &Channel, now, ka: &mut Vec<u64>, kb: &mut Vec<u64>| {
+            ka.clear();
+            kb.clear();
+            a.state_key(now, ka);
+            b.state_key(now, kb);
+            assert_eq!(ka, kb, "{:?} cycle {now}: states differ", config.scheme);
+        };
+        for now in 0..4_000u64 {
+            // Bursts of one to three packets, 50–300 cycles apart.
+            if now % 211 == 0 || now % 263 == 0 || now % 409 == 1 {
+                id += 1;
+                let src = 1 + (now as usize * 7) % 15;
+                if asleep {
+                    sleepy.wake(now);
+                    asleep = false;
+                    same_state(&stepped, &sleepy, now, &mut ka, &mut kb);
+                }
+                stepped.enqueue(pkt(id, src, 0, now));
+                sleepy.enqueue(pkt(id, src, 0, now));
+            }
+            stepped.step(now, &mut ma, &mut da);
+            if asleep {
+                slept += 1;
+            } else {
+                sleepy.step(now, &mut mb, &mut db);
+                same_state(&stepped, &sleepy, now, &mut ka, &mut kb);
+                if sleepy.is_quiescent() {
+                    sleepy.sleep(now);
+                    asleep = true;
+                }
+            }
+            assert_eq!(
+                format!("{:?}", stepped.audit_view()),
+                format!("{:?}", sleepy.audit_view()),
+                "{:?} cycle {now}: audit views differ",
+                config.scheme
+            );
+            assert_eq!(
+                format!("{:?}", stepped.occupancy_sample(now)),
+                format!("{:?}", sleepy.occupancy_sample(now))
+            );
+            assert_eq!(stepped.is_drained(), sleepy.is_drained());
+            assert_eq!(stepped.served_by_sender, sleepy.served_by_sender);
+        }
+        assert_eq!(format!("{ma:?}"), format!("{mb:?}"));
+        assert_eq!(da, db);
+        assert!(!da.is_empty());
+        slept
+    }
+
+    #[test]
+    fn sleeping_is_unobservable_for_every_scheme() {
+        let bucket = crate::config::AdmissionPolicy::TokenBucket {
+            period: 5,
+            refill: [1; pnoc_traffic::MAX_CLASSES],
+            burst: [2; pnoc_traffic::MAX_CLASSES],
+        };
+        for scheme in Scheme::paper_set(2) {
+            for admission in [crate::config::AdmissionPolicy::None, bucket] {
+                let mut config = cfg(scheme);
+                config.admission = admission;
+                let slept = check_sleep_is_unobservable(&config);
+                assert!(slept > 2_000, "{scheme:?} barely slept: {slept} cycles");
+            }
+        }
+    }
+
+    #[test]
+    fn faulted_channels_never_sleep() {
+        let config =
+            cfg(Scheme::Dhs { setaside: 2 }).with_faults(pnoc_faults::FaultConfig::uniform(1e-4));
+        assert_eq!(check_sleep_is_unobservable(&config), 0);
     }
 
     #[test]

@@ -21,6 +21,7 @@ use crate::calendar::Calendar;
 use crate::channel::Delivery;
 use crate::metrics::{NetworkMetrics, RunSummary};
 use crate::packet::{Packet, PacketKind};
+use crate::schemes::BitPlane;
 use crate::sources::TrafficSource;
 use pnoc_sim::{Clock, Cycle, RunPlan};
 use serde::{Deserialize, Serialize};
@@ -124,6 +125,11 @@ pub struct MeshNetwork {
     cfg: MeshConfig,
     clock: Clock,
     routers: Vec<Router>,
+    /// `(x, y)` of every node, so routing never divides.
+    coords: Vec<(usize, usize)>,
+    /// Routers with a flit in any input buffer — the only ones switch
+    /// allocation visits.
+    occupied: BitPlane,
     link_cal: Calendar<LinkArrival>,
     credit_cal: Calendar<CreditArrival>,
     inject_cal: Calendar<Packet>,
@@ -149,6 +155,10 @@ impl MeshNetwork {
             cfg,
             clock: Clock::new(),
             routers,
+            coords: (0..cfg.nodes())
+                .map(|n| (n % cfg.side, n / cfg.side))
+                .collect(),
+            occupied: BitPlane::new(cfg.nodes()),
             link_cal: Calendar::new(horizon),
             credit_cal: Calendar::new(4),
             inject_cal: Calendar::new(cfg.router_latency as usize + 1),
@@ -169,14 +179,10 @@ impl MeshNetwork {
         &self.metrics
     }
 
-    fn xy(&self, node: usize) -> (usize, usize) {
-        (node % self.cfg.side, node / self.cfg.side)
-    }
-
     /// XY dimension-order routing: move along X first, then Y.
     fn route(&self, at: usize, dst: usize) -> usize {
-        let (x, y) = self.xy(at);
-        let (dx, dy) = self.xy(dst);
+        let (x, y) = self.coords[at];
+        let (dx, dy) = self.coords[dst];
         if x < dx {
             EAST
         } else if x > dx {
@@ -191,13 +197,12 @@ impl MeshNetwork {
     }
 
     fn neighbor(&self, node: usize, dir: usize) -> usize {
-        let (x, y) = self.xy(node);
         match dir {
             NORTH => node - self.cfg.side,
             SOUTH => node + self.cfg.side,
             EAST => node + 1,
             WEST => node - 1,
-            _ => unreachable!("no neighbor behind the local port: ({x},{y})"),
+            _ => unreachable!("no neighbor behind the local port of node {node}"),
         }
     }
 
@@ -268,10 +273,12 @@ impl MeshNetwork {
         id
     }
 
-    /// Whether every buffer, link and calendar is empty.
+    /// Whether every buffer, link and calendar is empty — credits still
+    /// travelling back upstream included.
     pub fn is_drained(&self) -> bool {
         self.inject_cal.pending() == 0
             && self.link_cal.pending() == 0
+            && self.credit_cal.pending() == 0
             && self
                 .routers
                 .iter()
@@ -283,61 +290,89 @@ impl MeshNetwork {
         &self.deliveries
     }
 
-    /// Advance one cycle.
+    /// Advance one cycle. Switch allocation visits only routers holding a
+    /// flit, and routes each input head once per cycle.
     pub fn step(&mut self) {
         let now = self.clock.now();
         self.deliveries.clear();
 
         // Arrivals land in downstream input buffers (space was reserved by
         // the credit taken at grant time).
-        for a in self.link_cal.drain(now) {
-            debug_assert!(
-                self.routers[a.router].inputs[a.port].len() < self.cfg.input_buffer,
-                "credit reservation violated"
-            );
-            self.routers[a.router].inputs[a.port].push_back(a.pkt);
+        if self.link_cal.is_empty() {
+            self.link_cal.fast_forward(now);
+        } else {
+            for a in self.link_cal.drain(now) {
+                debug_assert!(
+                    self.routers[a.router].inputs[a.port].len() < self.cfg.input_buffer,
+                    "credit reservation violated"
+                );
+                self.routers[a.router].inputs[a.port].push_back(a.pkt);
+                self.occupied.set(a.router, true);
+            }
         }
         // Credits return to upstream routers.
-        for c in self.credit_cal.drain(now) {
-            self.routers[c.router].credits[c.dir] += 1;
-            debug_assert!(self.routers[c.router].credits[c.dir] as usize <= self.cfg.input_buffer);
+        if self.credit_cal.is_empty() {
+            self.credit_cal.fast_forward(now);
+        } else {
+            for c in self.credit_cal.drain(now) {
+                self.routers[c.router].credits[c.dir] += 1;
+                debug_assert!(
+                    self.routers[c.router].credits[c.dir] as usize <= self.cfg.input_buffer
+                );
+            }
         }
         // Injection-pipeline exits join the local input queue (unbounded).
-        for mut pkt in self.inject_cal.drain(now) {
-            pkt.enqueued_at = now;
-            self.routers[pkt.src_node as usize].inputs[LOCAL].push_back(pkt);
+        if self.inject_cal.is_empty() {
+            self.inject_cal.fast_forward(now);
+        } else {
+            for mut pkt in self.inject_cal.drain(now) {
+                pkt.enqueued_at = now;
+                let src = pkt.src_node as usize;
+                self.routers[src].inputs[LOCAL].push_back(pkt);
+                self.occupied.set(src, true);
+            }
         }
 
         // Switch allocation: per router, per output port, one winner per
         // cycle chosen round-robin among the inputs whose head wants it.
-        for r in 0..self.routers.len() {
-            // Each input port feeds the crossbar at most once per cycle.
-            let mut input_used = [false; PORTS];
-            for out in 0..PORTS {
+        // Routers are independent within a cycle (every forward lands in a
+        // calendar at least one cycle ahead), so empty ones are skipped.
+        let routers = self.routers.len();
+        let mut next = self.occupied.first_in(0, routers);
+        while let Some(r) = next {
+            next = self.occupied.first_in(r + 1, routers);
+            // The output each input head requests (PORTS = no head). An
+            // input feeds the crossbar at most once per cycle, so a head
+            // uncovered by a pop is never routed this cycle.
+            let mut wants = [PORTS; PORTS];
+            // Outputs some head requests, as a bit mask: the others have
+            // no candidate, so allocation visits only these, in port order.
+            let mut requested = 0u8;
+            for (p, want) in wants.iter_mut().enumerate() {
+                if let Some(head) = self.routers[r].inputs[p].front() {
+                    *want = self.route(r, head.dst_node as usize);
+                    requested |= 1 << *want;
+                }
+            }
+            while requested != 0 {
+                let out = requested.trailing_zeros() as usize;
+                requested &= requested - 1;
                 // Output readiness.
                 if out != LOCAL && self.routers[r].credits[out] == 0 {
                     continue;
                 }
                 // Find a requesting input, round-robin from rr[out].
                 let start = self.routers[r].rr[out];
-                let mut winner = None;
-                for k in 0..PORTS {
-                    let p = (start + k) % PORTS;
-                    if input_used[p] {
-                        continue;
-                    }
-                    if let Some(head) = self.routers[r].inputs[p].front() {
-                        if self.route(r, head.dst_node as usize) == out {
-                            winner = Some(p);
-                            break;
-                        }
-                    }
-                }
-                let Some(p) = winner else { continue };
+                let Some(p) = (0..PORTS)
+                    .map(|k| (start + k) % PORTS)
+                    .find(|&p| wants[p] == out)
+                else {
+                    continue;
+                };
                 let Some(mut pkt) = self.routers[r].inputs[p].pop_front() else {
                     continue;
                 };
-                input_used[p] = true;
+                wants[p] = PORTS;
                 self.routers[r].rr[out] = (p + 1) % PORTS;
                 if pkt.sends == 0 && pkt.measured {
                     self.metrics
@@ -382,6 +417,9 @@ impl MeshNetwork {
                         },
                     );
                 }
+            }
+            if self.routers[r].inputs.iter().all(VecDeque::is_empty) {
+                self.occupied.set(r, false);
             }
         }
 

@@ -6,7 +6,8 @@ use crate::config::{NetworkConfig, Scheme};
 use crate::metrics::{NetworkMetrics, RunSummary};
 use crate::packet::{Packet, PacketKind};
 use crate::schemes::{
-    CirculationFlow, CreditFlow, DistributedArbiter, GlobalArbiter, HandshakeFlow, SlotFlow,
+    BitPlane, CirculationFlow, CreditFlow, DistributedArbiter, GlobalArbiter, HandshakeFlow,
+    SlotFlow,
 };
 use crate::sources::{InjectionRequest, TrafficSource};
 use pnoc_sim::{Clock, Cycle, RunPlan};
@@ -121,6 +122,14 @@ pub struct Network {
     cfg: NetworkConfig,
     clock: Clock,
     channels: Channels,
+    /// Channels stepped each cycle; the rest are asleep (see
+    /// [`Channel::is_quiescent`]) until an injection wakes them.
+    awake: BitPlane,
+    /// Whether channels may sleep at all: never with faults enabled, whose
+    /// injectors draw randomness every cycle.
+    may_sleep: bool,
+    /// Channel-cycles stepped so far (see [`Network::channel_cycles`]).
+    executed: u64,
     inject_cal: Calendar<Packet>,
     metrics: NetworkMetrics,
     deliveries: Vec<Delivery>,
@@ -156,6 +165,15 @@ impl Network {
             cfg,
             clock: Clock::new(),
             channels: build_channels(&cfg),
+            awake: {
+                let mut all = BitPlane::new(cfg.nodes);
+                for ch in 0..cfg.nodes {
+                    all.set(ch, true);
+                }
+                all
+            },
+            may_sleep: !cfg.faults.enabled(),
+            executed: 0,
             inject_cal: Calendar::new(cfg.router_latency as usize + 1),
             metrics: NetworkMetrics::new(),
             deliveries: Vec::new(),
@@ -317,12 +335,20 @@ impl Network {
 
     /// Advance the network one cycle. Deliveries completed this cycle are
     /// available from [`Network::deliveries`] until the next `step`.
+    ///
+    /// Only awake channels run their phases, in ascending channel order as
+    /// before; a channel that ends the cycle quiescent goes to sleep, and
+    /// an injection reaching a sleeping channel wakes it (catching it up in
+    /// O(1)) before it is enqueued. A cycle therefore costs work in
+    /// proportion to the channels with something to do.
     pub fn step(&mut self) {
         let now = self.clock.now();
         self.deliveries.clear();
         let metrics = &mut self.metrics;
         let deliveries = &mut self.deliveries;
         let inject_cal = &mut self.inject_cal;
+        let awake = &mut self.awake;
+        let may_sleep = self.may_sleep;
         // One monomorphization branch for the whole cycle: inject drain plus
         // all six phases run over the concrete channel type.
         for_channels!(&mut self.channels, chs => {
@@ -331,17 +357,24 @@ impl Network {
             } else {
                 for mut pkt in inject_cal.drain(now) {
                     pkt.enqueued_at = now;
-                    chs[pkt.dst_node as usize].enqueue(pkt);
+                    let dst = pkt.dst_node as usize;
+                    if !awake.get(dst) {
+                        chs[dst].wake(now);
+                        awake.set(dst, true);
+                    }
+                    chs[dst].enqueue(pkt);
                 }
             }
-            for ch in chs.iter_mut() {
-                ch.phase_advance();
-                ch.phase_arrival(now, metrics);
-                ch.phase_acks(now, metrics);
-                ch.phase_transmit(now, metrics);
-                ch.phase_tokens(now, metrics);
-                ch.phase_eject(now, metrics, deliveries);
-            }
+            self.executed += awake.count() as u64;
+            awake.retain(|i| {
+                let ch = &mut chs[i];
+                ch.step(now, metrics, deliveries);
+                if may_sleep && ch.is_quiescent() {
+                    ch.sleep(now);
+                    return false;
+                }
+                true
+            });
         });
         #[cfg(feature = "obs-trace")]
         if let Some(s) = self.sampler.as_mut() {
@@ -424,6 +457,15 @@ impl Network {
         let mut pending = Vec::new();
         self.audit_snapshot_into(&mut views, &mut pending);
         (views, pending)
+    }
+
+    /// Deterministic work counter: `(executed, simulated)` channel-cycles
+    /// so far. Every cycle simulates one channel-cycle per node; only awake
+    /// channels execute theirs. The ratio is the share of channel-cycles
+    /// the step loop actually ran — exactly 1 with faults enabled, where no
+    /// channel sleeps — and is identical on any host for the same run.
+    pub fn channel_cycles(&self) -> (u64, u64) {
+        (self.executed, self.cfg.nodes as u64 * self.clock.now())
     }
 
     /// Packets delivered by the most recent [`Network::step`].
@@ -670,6 +712,41 @@ mod tests {
         assert_eq!(d.pkt.tag, 42);
         assert_eq!(d.pkt.dst_node, 5);
         assert!(d.available_at >= net.now() - 1);
+    }
+
+    /// `(executed, simulated)` channel-cycles of one uniform-random run.
+    fn work(cfg: NetworkConfig, rate: f64) -> (u64, u64) {
+        let mut net = Network::new(cfg).unwrap();
+        let mut src = SyntheticSource::new(
+            TrafficPattern::UniformRandom,
+            rate,
+            cfg.nodes,
+            cfg.cores_per_node,
+            cfg.seed ^ 0x5EED_0001,
+        );
+        net.run_open_loop(&mut src, RunPlan::new(300, 2_000, 300));
+        let (executed, simulated) = net.channel_cycles();
+        assert_eq!(simulated, cfg.nodes as u64 * net.now());
+        (executed, simulated)
+    }
+
+    #[test]
+    fn work_counter_sees_idle_channels_sleep() {
+        for scheme in Scheme::paper_set(2) {
+            let cfg = NetworkConfig::small(scheme);
+            let (executed, simulated) = work(cfg, 0.002);
+            assert!(
+                executed * 4 < simulated,
+                "{scheme:?}: sparse run executed {executed} of {simulated} channel-cycles"
+            );
+            assert_eq!(
+                work(cfg, 0.002),
+                (executed, simulated),
+                "{scheme:?}: work counter differs between identical runs"
+            );
+            let (executed, simulated) = work(cfg.with_faults(FaultConfig::uniform(1e-4)), 0.002);
+            assert_eq!(executed, simulated, "{scheme:?}: a faulted channel slept");
+        }
     }
 
     #[test]

@@ -92,6 +92,13 @@ impl AdmissionCtl {
         self.granted_by_class[c] += 1;
     }
 
+    /// Whether every bucket is at capacity: refills are then no-ops, so
+    /// idle cycles leave the buckets unchanged.
+    #[inline]
+    pub fn is_full(&self) -> bool {
+        self.tokens == self.burst
+    }
+
     /// Current bucket levels (state keys, invariant checks).
     pub fn tokens(&self) -> [u8; MAX_CLASSES] {
         self.tokens

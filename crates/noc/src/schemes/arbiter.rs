@@ -7,10 +7,11 @@
 //! circulation). This module owns the token state machines:
 //!
 //! * [`GlobalArbiter`] — the single sweeping/held/lost token, including the
-//!   loss watchdog that re-emits a replacement after two silent loop times;
+//!   loss watchdog that re-emits a replacement after two silent loop times,
+//!   and the closed-form sweep that catches a sleeping channel up;
 //! * [`DistributedArbiter`] — the oldest-first token queue, per-cycle
-//!   emission (gated by the flow layer), disjoint window sweeps, and a bulk
-//!   fast path for idle cycles;
+//!   emission (gated by the flow layer), disjoint window sweeps, and the
+//!   full-stream fixed point an idle channel sleeps at;
 //! * [`ArbiterKind`] — the runtime dispatch wrapper for callers that pick
 //!   the scheme at runtime (the model checker, unit rigs); the network's
 //!   hot path monomorphizes over the concrete arbiters instead.
@@ -156,6 +157,23 @@ pub trait Arbiter {
     /// watchdog, window sweeps, grants.
     fn step<F: Flow>(&mut self, flow: &mut F, cx: &mut TokenCx<'_>, m: &mut NetworkMetrics);
 
+    /// Whether one more idle cycle — no sendable sender, no fault injector,
+    /// an empty home buffer, and a paired flow at its own idle fixed point
+    /// ([`Flow::is_idle`]) — would change nothing but the state
+    /// [`Arbiter::idle_advance`] replays in closed form. A channel may sleep
+    /// only in such a state.
+    fn idle_fixed_point<F: Flow>(
+        &self,
+        flow: &F,
+        nodes: usize,
+        step: usize,
+        buffer_cap: usize,
+    ) -> bool;
+
+    /// Replay `cycles` idle cycles in O(1), starting from a state where
+    /// [`Arbiter::idle_fixed_point`] held.
+    fn idle_advance<F: Flow>(&mut self, flow: &mut F, cycles: u64, nodes: usize, step: usize);
+
     /// Live distributed tokens (0 under global arbitration).
     fn outstanding_tokens(&self) -> usize;
 
@@ -255,6 +273,40 @@ impl Arbiter for GlobalArbiter {
         }
     }
 
+    /// A sweeping token only moves on: its position and home passes are
+    /// closed-form in elapsed cycles. A held or lost token is mid-protocol.
+    #[inline]
+    fn idle_fixed_point<F: Flow>(
+        &self,
+        _flow: &F,
+        _nodes: usize,
+        _step: usize,
+        _cap: usize,
+    ) -> bool {
+        matches!(self.state, GlobalTokenState::Sweeping { .. })
+    }
+
+    /// An idle sweep advances `step` distances a cycle and wraps past the
+    /// home after the last distance; a lap from distance 0 takes
+    /// `ceil((nodes - 1) / step)` cycles. [`Flow::on_home_pass`] is
+    /// idempotent once its reimbursements are folded in, so one call stands
+    /// for every pass the sleep spanned.
+    fn idle_advance<F: Flow>(&mut self, flow: &mut F, cycles: u64, nodes: usize, step: usize) {
+        let GlobalTokenState::Sweeping { next } = self.state else {
+            return;
+        };
+        let last = nodes - 1;
+        let to_wrap = (last - next).div_ceil(step) as u64;
+        let next = if cycles < to_wrap {
+            next + cycles as usize * step
+        } else {
+            flow.on_home_pass();
+            let lap = last.div_ceil(step) as u64;
+            ((cycles - to_wrap) % lap) as usize * step
+        };
+        self.state = GlobalTokenState::Sweeping { next };
+    }
+
     #[inline]
     fn outstanding_tokens(&self) -> usize {
         0
@@ -306,6 +358,12 @@ impl DistributedArbiter {
     /// An arbiter with no tokens in flight (the home emits from cycle 0).
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Token ages a stream keeps alive: a token of this age has swept its
+    /// last window and is retired at the end of the cycle.
+    fn lifetime(nodes: usize, step: usize) -> usize {
+        (nodes - 1).saturating_sub(step).div_ceil(step)
     }
 }
 
@@ -365,9 +423,23 @@ impl Arbiter for DistributedArbiter {
         // completed the loop un-taken and die at the home (the home
         // re-emits fresh ones; for token slot the reservation returns to
         // the pool implicitly).
-        let die_at = last.saturating_sub(cx.step);
-        self.tokens.retire(die_at.div_ceil(cx.step));
+        self.tokens.retire(Self::lifetime(cx.nodes, cx.step));
     }
+
+    /// Full stream: one live token per age and an emission gate that stays
+    /// open at that count, so each idle cycle retires the oldest token and
+    /// emits an identical replacement. A stream still filling (or a token
+    /// slot whose buffer is smaller than a full stream, which cycles instead
+    /// of settling) is not at a fixed point.
+    #[inline]
+    fn idle_fixed_point<F: Flow>(&self, flow: &F, nodes: usize, step: usize, cap: usize) -> bool {
+        let full = Self::lifetime(nodes, step);
+        self.tokens.count() == full && flow.may_emit(0, full, cap, false)
+    }
+
+    /// At the fixed point an idle cycle changes nothing.
+    #[inline]
+    fn idle_advance<F: Flow>(&mut self, _flow: &mut F, _cycles: u64, _nodes: usize, _step: usize) {}
 
     #[inline]
     fn outstanding_tokens(&self) -> usize {
@@ -401,6 +473,22 @@ impl Arbiter for ArbiterKind {
         match self {
             ArbiterKind::Global(g) => g.step(flow, cx, m),
             ArbiterKind::Distributed(d) => d.step(flow, cx, m),
+        }
+    }
+
+    #[inline]
+    fn idle_fixed_point<F: Flow>(&self, flow: &F, nodes: usize, step: usize, cap: usize) -> bool {
+        match self {
+            ArbiterKind::Global(g) => g.idle_fixed_point(flow, nodes, step, cap),
+            ArbiterKind::Distributed(d) => d.idle_fixed_point(flow, nodes, step, cap),
+        }
+    }
+
+    #[inline]
+    fn idle_advance<F: Flow>(&mut self, flow: &mut F, cycles: u64, nodes: usize, step: usize) {
+        match self {
+            ArbiterKind::Global(g) => g.idle_advance(flow, cycles, nodes, step),
+            ArbiterKind::Distributed(d) => d.idle_advance(flow, cycles, nodes, step),
         }
     }
 

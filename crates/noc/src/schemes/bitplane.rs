@@ -117,6 +117,24 @@ impl BitPlane {
         None
     }
 
+    /// Visit the set distances in ascending order, clearing each one for
+    /// which `keep` returns `false` — a word scan that filters the plane in
+    /// place (an active-set sweep that retires members as it goes).
+    #[inline]
+    pub fn retain(&mut self, mut keep: impl FnMut(usize) -> bool) {
+        for w in 0..self.words.len() {
+            let mut bits = self.words[w];
+            while bits != 0 {
+                let tz = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                if !keep(w * 64 + tz) {
+                    self.words[w] &= !(1u64 << tz);
+                    self.live -= 1;
+                }
+            }
+        }
+    }
+
     /// Iterate the set distances in ascending order, one `trailing_zeros`
     /// word scan at a time.
     #[inline]
@@ -569,6 +587,22 @@ mod tests {
         s.clear();
         assert!(!s.any());
         assert_eq!(s.iter().count(), 0);
+    }
+
+    #[test]
+    fn retain_visits_in_order_and_clears_rejects() {
+        let mut s = BitPlane::new(150);
+        for d in [2usize, 63, 64, 100, 149] {
+            s.set(d, true);
+        }
+        let mut seen = Vec::new();
+        s.retain(|d| {
+            seen.push(d);
+            d % 2 == 0
+        });
+        assert_eq!(seen, vec![2, 63, 64, 100, 149]);
+        assert_eq!(s.iter().collect::<Vec<_>>(), vec![2, 64, 100]);
+        assert_eq!(s.count(), 3);
     }
 
     #[test]

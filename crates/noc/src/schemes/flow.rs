@@ -195,6 +195,15 @@ pub trait Flow {
     ) {
     }
 
+    /// Whether an idle cycle leaves this flow's state unchanged: nothing
+    /// waiting to be folded in at a home pass, no handshake or timer
+    /// pending. Flows whose state only moves on grants and arrivals are
+    /// always idle.
+    #[inline]
+    fn is_idle(&self) -> bool {
+        true
+    }
+
     /// Handshake events still in flight (0 for handshake-free schemes).
     #[inline]
     fn pending_acks(&self) -> usize {
@@ -278,6 +287,13 @@ impl Flow for CreditFlow {
     #[inline]
     fn on_slot_freed(&mut self) {
         self.uncommitted += 1;
+    }
+
+    /// Reimbursements still waiting for the token's next home pass would
+    /// change `credits` on an idle cycle.
+    #[inline]
+    fn is_idle(&self) -> bool {
+        self.uncommitted == 0
     }
 
     #[inline]
@@ -642,6 +658,11 @@ impl Flow for HandshakeFlow {
     }
 
     #[inline]
+    fn is_idle(&self) -> bool {
+        self.acks.is_empty() && self.ack_timers.is_empty()
+    }
+
+    #[inline]
     fn pending_acks(&self) -> usize {
         self.acks.pending()
     }
@@ -821,6 +842,11 @@ impl Flow for FlowKind {
             handshake_delay,
             m,
         ));
+    }
+
+    #[inline]
+    fn is_idle(&self) -> bool {
+        each_flow!(self, f => f.is_idle())
     }
 
     #[inline]

@@ -280,6 +280,68 @@ mod tests {
     }
 
     #[test]
+    fn idle_advance_is_the_closed_form_of_idle_steps() {
+        // From every sweep position, `k` idle steps of the global token
+        // (no sendable sender) must equal one `idle_advance(k)` — position
+        // and home-pass reimbursement alike.
+        let mut rig = Rig::new(SendMode::Forget);
+        let mut m = NetworkMetrics::new();
+        for start in 0..15 {
+            for k in 0..40u64 {
+                let mut stepped = GlobalArbiter {
+                    state: GlobalTokenState::Sweeping { next: start },
+                };
+                let mut jumped = stepped.clone();
+                let mut f_stepped = CreditFlow::new(1);
+                f_stepped.uncommitted = 2;
+                let mut f_jumped = f_stepped.clone();
+                for now in 0..k {
+                    let mut cx = rig.cx(now);
+                    stepped.step(&mut f_stepped, &mut cx, &mut m);
+                }
+                jumped.idle_advance(&mut f_jumped, k, 16, 4);
+                assert_eq!(stepped.state, jumped.state, "start {start}, {k} cycles");
+                assert_eq!(
+                    f_stepped.credits, f_jumped.credits,
+                    "start {start}, {k} cycles"
+                );
+                assert_eq!(f_stepped.uncommitted, f_jumped.uncommitted);
+            }
+        }
+    }
+
+    #[test]
+    fn full_token_streams_are_idle_fixed_points() {
+        // A DHS stream fills within one loop and then stands still; a
+        // token slot with fewer buffer slots than a full stream never does.
+        let run = |flow: &mut FlowKind, cap: usize| {
+            let mut rig = Rig::new(SendMode::Forget);
+            let mut d = DistributedArbiter::new();
+            let mut m = NetworkMetrics::new();
+            let mut fixed = Vec::new();
+            for now in 0..32u64 {
+                let mut cx = rig.cx(now);
+                cx.buffer_cap = cap;
+                let before = d.tokens.clone();
+                d.step(flow, &mut cx, &mut m);
+                fixed.push((d.idle_fixed_point(flow, 16, 4, cap), before == d.tokens));
+            }
+            fixed
+        };
+        let dhs = run(&mut FlowKind::Handshake(HandshakeFlow::new(4, false)), 4);
+        assert!(dhs[4..].iter().all(|&(fixed, _)| fixed), "DHS settles");
+        // Where the predicate holds, the next idle step changes nothing.
+        for w in dhs.windows(2) {
+            assert!(!w[0].0 || w[1].1, "a fixed point moved: {dhs:?}");
+        }
+        let slot = run(&mut FlowKind::Slot(SlotFlow::default()), 2);
+        assert!(
+            slot.iter().all(|&(fixed, _)| !fixed),
+            "a short token slot never settles"
+        );
+    }
+
+    #[test]
     fn ack_timer_arms_and_fires_as_a_timeout_retransmission() {
         // ACK-timer arming: transmit under recovery, never deliver the
         // handshake, and check the timer retransmits exactly once per

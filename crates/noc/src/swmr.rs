@@ -29,6 +29,7 @@ use crate::channel::Delivery;
 use crate::metrics::{NetworkMetrics, RunSummary};
 use crate::outqueue::{OutQueue, SendMode};
 use crate::packet::{Packet, PacketKind};
+use crate::schemes::BitPlane;
 use crate::slots::SlotRing;
 use crate::sources::TrafficSource;
 use crate::topology::Topology;
@@ -134,15 +135,17 @@ impl SwmrConfig {
     }
 }
 
-/// A credit returning to `sender` for destination `dst`.
+/// A credit returning to sender `src` for destination `dst`.
 #[derive(Debug, Clone, Copy)]
 struct CreditReturn {
+    src: usize,
     dst: usize,
 }
 
-/// A handshake in flight back to this channel's sender.
+/// A handshake in flight back to sender `src`.
 #[derive(Debug, Clone, Copy)]
 struct SwmrAck {
+    src: usize,
     id: u64,
     ok: bool,
 }
@@ -152,10 +155,6 @@ struct SwmrAck {
 struct SwmrChannel {
     queue: OutQueue,
     data: SlotRing<Packet>,
-    /// Handshake events heading back to this sender.
-    acks: Calendar<SwmrAck>,
-    /// Credit returns heading back to this sender.
-    credits_in: Calendar<CreditReturn>,
     /// Remaining credits per destination (credit mode only).
     credits: Vec<u32>,
 }
@@ -165,8 +164,13 @@ struct SwmrChannel {
 struct SwmrReceiver {
     input_queue: VecDeque<Packet>,
     draining: u32,
-    releases: Calendar<Packet>, // carries the packet so credit return knows src/dst
     served_by_sender: Vec<u64>,
+}
+
+/// Cycles a credit freed at receiver `dst` takes to reach sender `src`:
+/// the remaining ring arc back (one full trip minus the data leg, +1).
+fn credit_delay(topo: &Topology, src: usize, dst: usize) -> Cycle {
+    (topo.segments as u64 + 1 - topo.data_delay(src, dst)).max(1)
 }
 
 /// The SWMR network.
@@ -176,7 +180,29 @@ pub struct SwmrNetwork {
     topo: Topology,
     clock: Clock,
     channels: Vec<SwmrChannel>,
+    /// Channels whose ring carries a flit (the only ones the light-advance
+    /// and arrival phases visit).
+    in_flight: BitPlane,
+    /// Channels whose source queue holds packets (the only ones the sender
+    /// phase visits).
+    queued: BitPlane,
+    /// This cycle's arrivals as `(receiver, source, segment)`, reused
+    /// across cycles.
+    arrivals: Vec<(usize, usize, usize)>,
     receivers: Vec<SwmrReceiver>,
+    /// Receivers with packets in their input buffer (the only ones the
+    /// ejection phase visits).
+    buffered: BitPlane,
+    /// Handshake events heading back to their senders. One calendar for
+    /// the fabric: a sender's events keep their order, and events for
+    /// different senders touch disjoint state.
+    acks: Calendar<SwmrAck>,
+    /// Credit returns heading back to their senders.
+    credits_in: Calendar<CreditReturn>,
+    /// Buffer-slot releases as flits leave the ejection routers (the
+    /// packet says which receiver and, for the credit return, which
+    /// sender).
+    releases: Calendar<Packet>,
     inject_cal: Calendar<Packet>,
     metrics: NetworkMetrics,
     deliveries: Vec<Delivery>,
@@ -203,8 +229,6 @@ impl SwmrNetwork {
             .map(|_| SwmrChannel {
                 queue: OutQueue::new(mode),
                 data: SlotRing::new(cfg.ring_segments),
-                acks: Calendar::new(cfg.ring_segments + 2),
-                credits_in: Calendar::new(2 * cfg.ring_segments + 4),
                 credits: vec![per_pair_credits; cfg.nodes],
             })
             .collect();
@@ -212,7 +236,6 @@ impl SwmrNetwork {
             .map(|_| SwmrReceiver {
                 input_queue: VecDeque::new(),
                 draining: 0,
-                releases: Calendar::new(cfg.router_latency as usize + 2),
                 served_by_sender: vec![0; cfg.nodes],
             })
             .collect();
@@ -221,7 +244,14 @@ impl SwmrNetwork {
             topo,
             clock: Clock::new(),
             channels,
+            in_flight: BitPlane::new(cfg.nodes),
+            queued: BitPlane::new(cfg.nodes),
+            arrivals: Vec::with_capacity(cfg.nodes),
             receivers,
+            buffered: BitPlane::new(cfg.nodes),
+            acks: Calendar::new(cfg.ring_segments + 2),
+            credits_in: Calendar::new(2 * cfg.ring_segments + 4),
+            releases: Calendar::new(cfg.router_latency as usize + 2),
             inject_cal: Calendar::new(cfg.router_latency as usize + 1),
             metrics: NetworkMetrics::new(),
             deliveries: Vec::new(),
@@ -302,10 +332,11 @@ impl SwmrNetwork {
     /// Whether everything has drained.
     pub fn is_drained(&self) -> bool {
         self.inject_cal.pending() == 0
+            && self.acks.pending() == 0
             && self
                 .channels
                 .iter()
-                .all(|c| c.queue.is_idle() && c.data.is_empty() && c.acks.pending() == 0)
+                .all(|c| c.queue.is_idle() && c.data.is_empty())
             && self
                 .receivers
                 .iter()
@@ -317,86 +348,119 @@ impl SwmrNetwork {
         &self.deliveries
     }
 
-    /// Advance one cycle.
+    /// Advance one cycle. The light-advance and arrival phases visit only
+    /// channels with a flit on their ring and the sender phase only
+    /// channels with queued packets, so an idle fabric costs a scan of the
+    /// calendars rather than a probe of every (receiver, source) pair.
     pub fn step(&mut self) {
         let now = self.clock.now();
         self.deliveries.clear();
 
         // Injection pipeline exits.
-        for mut pkt in self.inject_cal.drain(now) {
-            pkt.enqueued_at = now;
-            self.channels[pkt.src_node as usize].queue.push(pkt);
+        if self.inject_cal.is_empty() {
+            self.inject_cal.fast_forward(now);
+        } else {
+            for mut pkt in self.inject_cal.drain(now) {
+                pkt.enqueued_at = now;
+                let src = pkt.src_node as usize;
+                self.channels[src].queue.push(pkt);
+                self.queued.set(src, true);
+            }
         }
 
-        // 1. Light advances.
-        for ch in &mut self.channels {
-            ch.data.advance();
+        // 1. Light advances. Every slot access is relative to a ring's
+        //    rotation, so rotating an empty ring is unobservable: only rings
+        //    carrying a flit move.
+        for src in &self.in_flight {
+            self.channels[src].data.advance();
         }
 
         // 2. Receivers inspect every channel's slot at their segment. SWMR
         //    receivers have a detector per channel, so simultaneous arrivals
         //    from different sources are all examined; the buffer check
-        //    serializes in channel order.
-        let handshake = matches!(self.cfg.flow, SwmrFlowControl::Handshake { .. });
-        for dst in 0..self.cfg.nodes {
-            let seg = self.topo.segment_of(dst);
-            for src in 0..self.cfg.nodes {
-                if src == dst {
-                    continue;
-                }
-                let arrived = matches!(
-                    self.channels[src].data.at(seg),
-                    Some(p) if p.dst_node as usize == dst
-                );
-                if !arrived {
-                    continue;
-                }
-                self.metrics.arrivals += 1;
-                let rx = &mut self.receivers[dst];
-                let has_room =
-                    rx.input_queue.len() + (rx.draining as usize) < self.cfg.input_buffer;
-                let Some(pkt) = self.channels[src].data.take(seg) else {
-                    continue;
-                };
-                if handshake {
-                    let ack_at = pkt.sent_at + self.topo.handshake_delay();
-                    let ok = has_room;
-                    self.channels[src]
-                        .acks
-                        .schedule(ack_at, SwmrAck { id: pkt.id, ok });
-                    if has_room {
-                        rx.input_queue.push_back(pkt);
-                    } else {
-                        self.metrics.drops += 1;
-                    }
-                } else {
-                    debug_assert!(has_room, "credit reservation violated");
-                    rx.input_queue.push_back(pkt);
+        //    serializes in channel order. A flit arrives when the slot
+        //    carrying it reaches its receiver's segment; visiting occupied
+        //    slots and sorting by (receiver, source) reproduces the
+        //    receiver-major probe order exactly.
+        self.arrivals.clear();
+        for src in &self.in_flight {
+            for (seg, p) in self.channels[src].data.iter_occupied() {
+                let dst = p.dst_node as usize;
+                if self.topo.segment_of(dst) == seg {
+                    self.arrivals.push((dst, src, seg));
                 }
             }
         }
+        self.arrivals.sort_unstable();
+        let handshake = matches!(self.cfg.flow, SwmrFlowControl::Handshake { .. });
+        for &(dst, src, seg) in &self.arrivals {
+            self.metrics.arrivals += 1;
+            let rx = &mut self.receivers[dst];
+            let has_room = rx.input_queue.len() + (rx.draining as usize) < self.cfg.input_buffer;
+            let ch = &mut self.channels[src];
+            let Some(pkt) = ch.data.take(seg) else {
+                continue;
+            };
+            if ch.data.is_empty() {
+                self.in_flight.set(src, false);
+            }
+            if handshake {
+                let ack_at = pkt.sent_at + self.topo.handshake_delay();
+                let ok = has_room;
+                self.acks.schedule(
+                    ack_at,
+                    SwmrAck {
+                        src,
+                        id: pkt.id,
+                        ok,
+                    },
+                );
+                if !has_room {
+                    self.metrics.drops += 1;
+                    continue;
+                }
+            } else {
+                // Always-on: an arrival with no room means the per-pair
+                // credit ledger desynced.
+                assert!(has_room, "credit reservation violated");
+            }
+            rx.input_queue.push_back(pkt);
+            self.buffered.set(dst, true);
+        }
 
         // 3. Handshakes and credit returns reach senders.
-        for src in 0..self.cfg.nodes {
-            let ch = &mut self.channels[src];
-            for ack in ch.acks.drain(now) {
+        if self.acks.is_empty() {
+            self.acks.fast_forward(now);
+        } else {
+            for ack in self.acks.drain(now) {
+                let ch = &mut self.channels[ack.src];
+                // Always-on: without faults every handshake pairs with
+                // exactly one transmission the sender still tracks.
                 if ack.ok {
                     let acked = ch.queue.ack(ack.id);
-                    debug_assert!(acked.is_some());
+                    assert!(acked.is_some(), "ACK for unknown packet {}", ack.id);
                 } else {
                     let requeued = ch.queue.nack(ack.id);
-                    debug_assert!(requeued);
+                    assert!(requeued, "NACK for unknown packet {}", ack.id);
                     self.metrics.retransmissions += 1;
                 }
+                self.queued.set(ack.src, ch.queue.backlog() > 0);
             }
-            for cr in ch.credits_in.drain(now) {
-                ch.credits[cr.dst] += 1;
+        }
+        if self.credits_in.is_empty() {
+            self.credits_in.fast_forward(now);
+        } else {
+            for cr in self.credits_in.drain(now) {
+                self.channels[cr.src].credits[cr.dst] += 1;
             }
         }
 
         // 4. Senders transmit: the single writer needs no arbitration — only
         //    a free slot at its own segment and flow-control permission.
-        for src in 0..self.cfg.nodes {
+        let len = self.cfg.nodes;
+        let mut next = self.queued.first_in(0, len);
+        while let Some(src) = next {
+            next = self.queued.first_in(src + 1, len);
             let seg = self.topo.segment_of(src);
             let ch = &mut self.channels[src];
             if !ch.data.is_free(seg) {
@@ -429,43 +493,50 @@ impl SwmrNetwork {
                         ch.credits[pkt.dst_node as usize] -= 1;
                     }
                     ch.data.put(seg, pkt);
+                    self.in_flight.set(src, true);
+                    self.queued.set(src, ch.queue.backlog() > 0);
                 }
             }
         }
 
         // 5. Receivers drain to their cores; buffer slots release after the
         //    ejection router, and (credit mode) the credit then travels back.
-        for dst in 0..self.cfg.nodes {
-            let rx = &mut self.receivers[dst];
-            for pkt in rx.releases.drain(now) {
-                debug_assert!(rx.draining > 0);
+        //    A receiver's releases precede its ejections, as before.
+        let credit = self.cfg.flow == SwmrFlowControl::PartitionedCredit;
+        if self.releases.is_empty() {
+            self.releases.fast_forward(now);
+        } else {
+            for pkt in self.releases.drain(now) {
+                let (src, dst) = (pkt.src_node as usize, pkt.dst_node as usize);
+                let rx = &mut self.receivers[dst];
+                assert!(rx.draining > 0, "draining underflow");
                 rx.draining -= 1;
-                if self.cfg.flow == SwmrFlowControl::PartitionedCredit {
-                    let src = pkt.src_node as usize;
-                    // The credit signal travels the remaining ring arc back
-                    // to the sender (one full trip minus the data leg, +1).
-                    let back = self.topo.segments as u64 + 1 - self.topo.data_delay(src, dst);
-                    self.channels[src]
-                        .credits_in
-                        .schedule(now + back.max(1), CreditReturn { dst });
+                if credit {
+                    self.credits_in.schedule(
+                        now + credit_delay(&self.topo, src, dst),
+                        CreditReturn { src, dst },
+                    );
                 }
             }
+        }
+        let mut next = self.buffered.first_in(0, len);
+        while let Some(dst) = next {
+            next = self.buffered.first_in(dst + 1, len);
+            let rx = &mut self.receivers[dst];
             for _ in 0..self.cfg.ejection_per_cycle {
                 let Some(pkt) = rx.input_queue.pop_front() else {
                     break;
                 };
                 let available_at = now + self.cfg.router_latency;
-                if self.cfg.router_latency == 0 {
-                    if self.cfg.flow == SwmrFlowControl::PartitionedCredit {
-                        let src = pkt.src_node as usize;
-                        let back = self.topo.segments as u64 + 1 - self.topo.data_delay(src, dst);
-                        self.channels[src]
-                            .credits_in
-                            .schedule(now + back.max(1), CreditReturn { dst });
-                    }
-                } else {
+                if self.cfg.router_latency > 0 {
                     rx.draining += 1;
-                    rx.releases.schedule(available_at, pkt);
+                    self.releases.schedule(available_at, pkt);
+                } else if credit {
+                    let src = pkt.src_node as usize;
+                    self.credits_in.schedule(
+                        now + credit_delay(&self.topo, src, dst),
+                        CreditReturn { src, dst },
+                    );
                 }
                 self.metrics.delivered += 1;
                 if pkt.measured {
@@ -475,6 +546,9 @@ impl SwmrNetwork {
                     rx.served_by_sender[pkt.src_node as usize] += 1;
                 }
                 self.deliveries.push(Delivery { pkt, available_at });
+            }
+            if rx.input_queue.is_empty() {
+                self.buffered.set(dst, false);
             }
         }
 
