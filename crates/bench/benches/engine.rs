@@ -4,7 +4,6 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use pnoc_noc::calendar::Calendar;
 use pnoc_noc::slots::SlotRing;
-use pnoc_sim::stats::Histogram;
 use pnoc_sim::SimRng;
 
 fn bench_rng(c: &mut Criterion) {
@@ -52,22 +51,5 @@ fn bench_calendar(c: &mut Criterion) {
     });
 }
 
-fn bench_histogram(c: &mut Criterion) {
-    c.bench_function("histogram_record", |b| {
-        let mut h = Histogram::cycles(2048);
-        let mut x = 0.0f64;
-        b.iter(|| {
-            h.record(black_box(x % 2000.0));
-            x += 13.7;
-        });
-    });
-}
-
-criterion_group!(
-    benches,
-    bench_rng,
-    bench_slot_ring,
-    bench_calendar,
-    bench_histogram
-);
+criterion_group!(benches, bench_rng, bench_slot_ring, bench_calendar);
 criterion_main!(benches);

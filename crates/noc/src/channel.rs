@@ -8,11 +8,14 @@
 //! machines) in [`crate::schemes::arbiter`], flow control (credit ledgers,
 //! the ACK/NACK handshake, retransmit timers) in [`crate::schemes::flow`].
 //! The channel is generic over that pairing — `Channel<A: Arbiter, F:
-//! Flow>` — so [`crate::network::Network`] compiles one fully inlined step
-//! loop per scheme family, while the type defaults (`ArbiterKind`,
-//! `FlowKind`) keep a runtime-dispatched `Channel` available for the model
-//! checker and unit rigs. The [`crate::network::Network`] orchestrator
-//! calls the `phase_*` methods in a fixed order each cycle:
+//! Flow>` — and [`Channels::new`] is the one place a [`Scheme`] becomes a
+//! concrete pairing: it builds the channels of any set of homes (every
+//! node for [`crate::network::Network`], a single home for the model
+//! checker and unit rigs) as one monomorphized vector per scheme family,
+//! and [`for_channels!`](crate::for_channels) runs code over whichever
+//! family a [`Channels`] holds. Every caller advances a channel with
+//! [`Channel::step`], which runs the private `phase_*` methods in a fixed
+//! order:
 //!
 //! 1. `phase_advance`  — light moves one segment,
 //! 2. `phase_arrival`  — the home inspects the slot at its segment
@@ -43,7 +46,8 @@ use crate::metrics::NetworkMetrics;
 use crate::outqueue::{OutQueue, SendMode};
 use crate::packet::{FlitRef, Packet, PacketArena, PacketRef};
 use crate::schemes::{
-    AdmissionCtl, Arbiter, ArbiterKind, ArrivalCx, Flow, FlowKind, Planes, TokenCx,
+    AdmissionCtl, Arbiter, ArrivalCx, CirculationFlow, CreditFlow, DistributedArbiter, Flow,
+    GlobalArbiter, HandshakeFlow, Planes, SlotFlow, TokenCx,
 };
 use crate::slots::SlotRing;
 use crate::topology::Topology;
@@ -65,15 +69,15 @@ pub struct Delivery {
 
 /// One MWSR channel (see module docs).
 ///
-/// The type parameters select the scheme pairing at compile time; the
-/// defaults are the runtime-dispatched wrappers so `Channel` written plain
-/// (the model checker, unit rigs) behaves exactly as before.
+/// The type parameters select the scheme pairing at compile time; build
+/// channels with [`Channels::new`], which picks the pairing `cfg.scheme`
+/// needs.
 ///
 /// `Clone` so the bounded model checker ([`crate::fsm`]) can branch a
 /// channel's state when exploring nondeterministic injection choices.
 #[derive(Debug, Clone)]
 #[allow(clippy::struct_excessive_bools)] // construction-time scheme predicates, not a state machine
-pub struct Channel<A = ArbiterKind, F = FlowKind> {
+pub struct Channel<A, F> {
     home: usize,
     topo: Topology,
     scheme: Scheme,
@@ -151,21 +155,11 @@ pub struct Channel<A = ArbiterKind, F = FlowKind> {
     asleep_from: Cycle,
 }
 
-impl Channel {
-    /// Build the channel homed at `home` with the scheme pairing resolved
-    /// at runtime ([`ArbiterKind`]/[`FlowKind`] dispatch). The network's
-    /// hot path uses [`Channel::with_pipeline`] with concrete types.
-    pub fn new(home: usize, cfg: &NetworkConfig) -> Self {
-        let (arbiter, flow) = crate::schemes::build(cfg);
-        Channel::with_pipeline(home, cfg, arbiter, flow)
-    }
-}
-
 impl<A: Arbiter, F: Flow> Channel<A, F> {
     /// Build the channel homed at `home` over a concrete (arbiter, flow)
-    /// pairing. The pairing must match `cfg.scheme` — [`crate::schemes::build`]
-    /// is the canonical constructor of matched pairs.
-    pub fn with_pipeline(home: usize, cfg: &NetworkConfig, arbiter: A, flow: F) -> Self {
+    /// pairing. The pairing must match `cfg.scheme` — [`Channels::new`]
+    /// makes that choice and is the only caller.
+    fn with_pipeline(home: usize, cfg: &NetworkConfig, arbiter: A, flow: F) -> Self {
         let topo = Topology::new(cfg.nodes, cfg.ring_segments);
         let mode = match cfg.scheme {
             Scheme::TokenChannel | Scheme::TokenSlot | Scheme::DhsCirculation => SendMode::Forget,
@@ -321,7 +315,12 @@ impl<A: Arbiter, F: Flow> Channel<A, F> {
     }
 
     /// Run all six phases for cycle `now` (the order the module docs list).
-    #[inline]
+    // `step` and the phases are forced inline: the network's step loop and
+    // the model checker call the same instantiations, and with two callers
+    // the plain heuristics leave the phase bodies out of line in the
+    // network's per-channel loop.
+    #[allow(clippy::inline_always)]
+    #[inline(always)]
     pub fn step(&mut self, now: Cycle, m: &mut NetworkMetrics, deliveries: &mut Vec<Delivery>) {
         self.phase_advance();
         self.phase_arrival(now, m);
@@ -371,12 +370,16 @@ impl<A: Arbiter, F: Flow> Channel<A, F> {
     }
 
     /// Phase 1: light advances one segment.
-    pub fn phase_advance(&mut self) {
+    #[allow(clippy::inline_always)] // see `Channel::step`
+    #[inline(always)]
+    fn phase_advance(&mut self) {
         self.data.advance();
     }
 
     /// Phase 2: the home inspects the slot at its segment.
-    pub fn phase_arrival(&mut self, now: Cycle, m: &mut NetworkMetrics) {
+    #[allow(clippy::inline_always)] // see `Channel::step`
+    #[inline(always)]
+    fn phase_arrival(&mut self, now: Cycle, m: &mut NetworkMetrics) {
         let _span = crate::spans::span("phase_arrival");
         // Take the flit once; the circulation path puts it back. (Take-once
         // keeps this per-cycle path free of unwrap/expect — determinism lint
@@ -503,7 +506,9 @@ impl<A: Arbiter, F: Flow> Channel<A, F> {
 
     /// Phase 3: handshakes reach their senders, and expired ACK timers fire.
     /// A statically-folded no-op for schemes without a handshake channel.
-    pub fn phase_acks(&mut self, now: Cycle, m: &mut NetworkMetrics) {
+    #[allow(clippy::inline_always)] // see `Channel::step`
+    #[inline(always)]
+    fn phase_acks(&mut self, now: Cycle, m: &mut NetworkMetrics) {
         let _span = crate::spans::span("phase_acks");
         self.flow.phase_acks(
             now,
@@ -524,7 +529,9 @@ impl<A: Arbiter, F: Flow> Channel<A, F> {
     /// segments (one per sender per cycle). The granted bit-plane *is* the
     /// active-sender list, pre-sorted by downstream distance — the loop is
     /// a word scan, with no per-cycle sort and no compaction.
-    pub fn phase_transmit(&mut self, now: Cycle, m: &mut NetworkMetrics) {
+    #[allow(clippy::inline_always)] // see `Channel::step`
+    #[inline(always)]
+    fn phase_transmit(&mut self, now: Cycle, m: &mut NetworkMetrics) {
         let _span = crate::spans::span("phase_transmit");
         if !self.planes.granted.any() {
             return;
@@ -595,7 +602,9 @@ impl<A: Arbiter, F: Flow> Channel<A, F> {
 
     /// Phase 5: token emission, sweeping, grabbing, reimbursement — all
     /// delegated to the arbiter/flow pairing resolved at construction.
-    pub fn phase_tokens(&mut self, now: Cycle, m: &mut NetworkMetrics) {
+    #[allow(clippy::inline_always)] // see `Channel::step`
+    #[inline(always)]
+    fn phase_tokens(&mut self, now: Cycle, m: &mut NetworkMetrics) {
         let _span = crate::spans::span("phase_tokens");
         if let Some(ctl) = self.admission.as_mut() {
             ctl.tick(now);
@@ -621,12 +630,9 @@ impl<A: Arbiter, F: Flow> Channel<A, F> {
     }
 
     /// Phase 6: the home drains its input buffer toward the local cores.
-    pub fn phase_eject(
-        &mut self,
-        now: Cycle,
-        m: &mut NetworkMetrics,
-        deliveries: &mut Vec<Delivery>,
-    ) {
+    #[allow(clippy::inline_always)] // see `Channel::step`
+    #[inline(always)]
+    fn phase_eject(&mut self, now: Cycle, m: &mut NetworkMetrics, deliveries: &mut Vec<Delivery>) {
         let _span = crate::spans::span("phase_eject");
         // Flits leaving the ejection router release their buffer slots; only
         // now does a freed slot become a reimbursable credit.
@@ -1016,10 +1022,101 @@ impl<A: Arbiter, F: Flow> Channel<A, F> {
     }
 }
 
+/// The channels of a set of homes, monomorphized: one variant per scheme
+/// family, each holding fully concrete `Channel<A, F>` values. The variant
+/// is chosen once in [`Channels::new`]; code run over it with
+/// [`for_channels!`](crate::for_channels) compiles once per family with both
+/// scheme layers inlined, so the enum dispatch happens once per loop, not
+/// once per channel per hook.
+#[derive(Debug, Clone)]
+pub enum Channels {
+    /// Token channel: global token carrying credits.
+    Credit(Vec<Channel<GlobalArbiter, CreditFlow>>),
+    /// GHS (± setaside): global token, ACK/NACK handshake.
+    GlobalHandshake(Vec<Channel<GlobalArbiter, HandshakeFlow>>),
+    /// Token slot: distributed tokens embodying buffer slots.
+    Slot(Vec<Channel<DistributedArbiter, SlotFlow>>),
+    /// DHS (± setaside): distributed tokens, ACK/NACK handshake.
+    DistHandshake(Vec<Channel<DistributedArbiter, HandshakeFlow>>),
+    /// DHS with circulation: distributed tokens, reinjection on overflow.
+    Circulation(Vec<Channel<DistributedArbiter, CirculationFlow>>),
+}
+
+impl Channels {
+    /// Build the channels homed at `homes`, in that order, with the
+    /// (arbiter, flow) pairing `cfg.scheme` calls for — the one place a
+    /// [`Scheme`] is resolved into concrete scheme layers.
+    pub fn new(cfg: &NetworkConfig, homes: impl IntoIterator<Item = usize>) -> Self {
+        fn build<A: Arbiter, F: Flow>(
+            cfg: &NetworkConfig,
+            homes: impl IntoIterator<Item = usize>,
+            pairing: impl Fn() -> (A, F),
+        ) -> Vec<Channel<A, F>> {
+            homes
+                .into_iter()
+                .map(|home| {
+                    let (arbiter, flow) = pairing();
+                    Channel::with_pipeline(home, cfg, arbiter, flow)
+                })
+                .collect()
+        }
+        match cfg.scheme {
+            Scheme::TokenChannel => {
+                let credits = crate::convert::narrow_u32(cfg.input_buffer);
+                Channels::Credit(build(cfg, homes, || {
+                    (GlobalArbiter::new(), CreditFlow::new(credits))
+                }))
+            }
+            Scheme::Ghs { setaside } => Channels::GlobalHandshake(build(cfg, homes, || {
+                let flow = HandshakeFlow::new(cfg.ring_segments, setaside > 0);
+                (GlobalArbiter::new(), flow)
+            })),
+            Scheme::TokenSlot => Channels::Slot(build(cfg, homes, || {
+                (DistributedArbiter::new(), SlotFlow::default())
+            })),
+            Scheme::Dhs { setaside } => Channels::DistHandshake(build(cfg, homes, || {
+                let flow = HandshakeFlow::new(cfg.ring_segments, setaside > 0);
+                (DistributedArbiter::new(), flow)
+            })),
+            Scheme::DhsCirculation => Channels::Circulation(build(cfg, homes, || {
+                (DistributedArbiter::new(), CirculationFlow)
+            })),
+        }
+    }
+}
+
+/// Run `$body` with `$c` bound to whichever concrete channel vector a
+/// [`Channels`](crate::channel::Channels) holds (by value, `&` or `&mut`,
+/// following `$chs`). Each arm compiles separately, so `$body`
+/// monomorphizes per scheme family.
+#[macro_export]
+macro_rules! for_channels {
+    ($chs:expr, $c:ident => $body:expr) => {
+        match $chs {
+            $crate::channel::Channels::Credit($c) => $body,
+            $crate::channel::Channels::GlobalHandshake($c) => $body,
+            $crate::channel::Channels::Slot($c) => $body,
+            $crate::channel::Channels::DistHandshake($c) => $body,
+            $crate::channel::Channels::Circulation($c) => $body,
+        }
+    };
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::packet::PacketKind;
+
+    /// Run `$body` with `$ch` bound to the concrete channel homed at
+    /// `$home` that [`Channels::new`] resolves for `$cfg`.
+    macro_rules! with_channel {
+        ($cfg:expr, $home:expr, $ch:ident => $body:expr) => {
+            for_channels!(&mut Channels::new($cfg, [$home]), chs => {
+                let $ch = &mut chs[0];
+                $body
+            })
+        };
+    }
 
     fn cfg(scheme: Scheme) -> NetworkConfig {
         NetworkConfig::small(scheme) // 16 nodes, 4 segments, buffer 4
@@ -1043,8 +1140,8 @@ mod tests {
     }
 
     /// Run `cycles` cycles of a single channel in isolation.
-    fn run(
-        ch: &mut Channel,
+    fn run<A: Arbiter, F: Flow>(
+        ch: &mut Channel<A, F>,
         m: &mut NetworkMetrics,
         deliveries: &mut Vec<Delivery>,
         from: Cycle,
@@ -1057,12 +1154,13 @@ mod tests {
     }
 
     fn deliver_one(scheme: Scheme, src: usize) -> (Vec<Delivery>, NetworkMetrics) {
-        let mut ch = Channel::new(0, &cfg(scheme));
-        let mut m = NetworkMetrics::new();
-        let mut d = Vec::new();
-        ch.enqueue(pkt(1, src, 0, 0));
-        run(&mut ch, &mut m, &mut d, 0, 64);
-        (d, m)
+        with_channel!(&cfg(scheme), 0, ch => {
+            let mut m = NetworkMetrics::new();
+            let mut d = Vec::new();
+            ch.enqueue(pkt(1, src, 0, 0));
+            run(ch, &mut m, &mut d, 0, 64);
+            (d, m)
+        })
     }
 
     #[test]
@@ -1098,32 +1196,35 @@ mod tests {
     #[test]
     fn channel_drains_after_burst() {
         for scheme in Scheme::paper_set(2) {
-            let mut ch = Channel::new(3, &cfg(scheme));
-            let mut m = NetworkMetrics::new();
-            let mut d = Vec::new();
-            let mut id = 0;
-            for src in [0usize, 5, 9, 12] {
-                for _ in 0..5 {
-                    id += 1;
-                    ch.enqueue(pkt(id, src, 3, 0));
+            with_channel!(&cfg(scheme), 3, ch => {
+                let mut m = NetworkMetrics::new();
+                let mut d = Vec::new();
+                let mut id = 0;
+                for src in [0usize, 5, 9, 12] {
+                    for _ in 0..5 {
+                        id += 1;
+                        ch.enqueue(pkt(id, src, 3, 0));
+                    }
                 }
-            }
-            run(&mut ch, &mut m, &mut d, 0, 600);
-            assert_eq!(d.len(), 20, "{scheme:?} lost packets: {}", d.len());
-            assert!(ch.is_drained(), "{scheme:?} did not drain");
+                run(ch, &mut m, &mut d, 0, 600);
+                assert_eq!(d.len(), 20, "{scheme:?} lost packets: {}", d.len());
+                assert!(ch.is_drained(), "{scheme:?} did not drain");
+            });
         }
     }
 
     #[test]
     fn deliveries_preserve_per_sender_order() {
         for scheme in Scheme::paper_set(2) {
-            let mut ch = Channel::new(0, &cfg(scheme));
-            let mut m = NetworkMetrics::new();
-            let mut d = Vec::new();
-            for i in 0..8 {
-                ch.enqueue(pkt(i, 5, 0, 0));
-            }
-            run(&mut ch, &mut m, &mut d, 0, 400);
+            let d = with_channel!(&cfg(scheme), 0, ch => {
+                let mut m = NetworkMetrics::new();
+                let mut d = Vec::new();
+                for i in 0..8 {
+                    ch.enqueue(pkt(i, 5, 0, 0));
+                }
+                run(ch, &mut m, &mut d, 0, 400);
+                d
+            });
             let ids: Vec<u64> = d.iter().map(|x| x.pkt.id).collect();
             let mut sorted = ids.clone();
             sorted.sort_unstable();
@@ -1133,8 +1234,8 @@ mod tests {
 
     /// Run with the home's ejection stalled except every `period`-th cycle,
     /// which builds real buffer pressure (drops / circulation).
-    fn run_with_slow_ejection(
-        ch: &mut Channel,
+    fn run_with_slow_ejection<A: Arbiter, F: Flow>(
+        ch: &mut Channel<A, F>,
         m: &mut NetworkMetrics,
         d: &mut Vec<Delivery>,
         cycles: u64,
@@ -1142,12 +1243,7 @@ mod tests {
     ) {
         for now in 0..cycles {
             ch.set_ejection_per_cycle(usize::from(now % period == 0));
-            ch.phase_advance();
-            ch.phase_arrival(now, m);
-            ch.phase_acks(now, m);
-            ch.phase_transmit(now, m);
-            ch.phase_tokens(now, m);
-            ch.phase_eject(now, m, d);
+            ch.step(now, m, d);
             ch.check_invariants();
         }
     }
@@ -1157,70 +1253,74 @@ mod tests {
         // A small buffer plus a slow home port forces drops.
         let mut config = cfg(Scheme::Dhs { setaside: 2 });
         config.input_buffer = 2;
-        let mut ch = Channel::new(0, &config);
-        let mut m = NetworkMetrics::new();
-        let mut d = Vec::new();
-        for i in 0..12 {
-            ch.enqueue(pkt(i, 4, 0, 0));
-            ch.enqueue(pkt(100 + i, 9, 0, 0));
-        }
-        run_with_slow_ejection(&mut ch, &mut m, &mut d, 2000, 4);
-        assert_eq!(d.len(), 24, "all packets eventually delivered");
-        assert!(ch.is_drained());
-        assert!(m.drops > 0, "slow ejection must force drops");
-        assert_eq!(m.drops, m.retransmissions, "every drop is retransmitted");
+        with_channel!(&config, 0, ch => {
+            let mut m = NetworkMetrics::new();
+            let mut d = Vec::new();
+            for i in 0..12 {
+                ch.enqueue(pkt(i, 4, 0, 0));
+                ch.enqueue(pkt(100 + i, 9, 0, 0));
+            }
+            run_with_slow_ejection(ch, &mut m, &mut d, 2000, 4);
+            assert_eq!(d.len(), 24, "all packets eventually delivered");
+            assert!(ch.is_drained());
+            assert!(m.drops > 0, "slow ejection must force drops");
+            assert_eq!(m.drops, m.retransmissions, "every drop is retransmitted");
+        });
     }
 
     #[test]
     fn circulation_never_drops_and_counts_loops() {
         let mut config = cfg(Scheme::DhsCirculation);
         config.input_buffer = 2;
-        let mut ch = Channel::new(0, &config);
-        let mut m = NetworkMetrics::new();
-        let mut d = Vec::new();
-        for i in 0..12 {
-            ch.enqueue(pkt(i, 4, 0, 0));
-            ch.enqueue(pkt(100 + i, 9, 0, 0));
-        }
-        run_with_slow_ejection(&mut ch, &mut m, &mut d, 2000, 4);
-        assert_eq!(d.len(), 24);
-        assert_eq!(m.drops, 0, "circulation never drops");
-        assert!(m.circulations > 0, "buffer pressure must force circulation");
-        assert!(ch.is_drained());
+        with_channel!(&config, 0, ch => {
+            let mut m = NetworkMetrics::new();
+            let mut d = Vec::new();
+            for i in 0..12 {
+                ch.enqueue(pkt(i, 4, 0, 0));
+                ch.enqueue(pkt(100 + i, 9, 0, 0));
+            }
+            run_with_slow_ejection(ch, &mut m, &mut d, 2000, 4);
+            assert_eq!(d.len(), 24);
+            assert_eq!(m.drops, 0, "circulation never drops");
+            assert!(m.circulations > 0, "buffer pressure must force circulation");
+            assert!(ch.is_drained());
+        });
     }
 
     #[test]
     fn token_slot_respects_credit_limit() {
         // With buffer 4 and ejection stalled... ejection always runs; instead
         // check the reservation invariant holds while many senders compete.
-        let mut ch = Channel::new(0, &cfg(Scheme::TokenSlot));
-        let mut m = NetworkMetrics::new();
-        let mut d = Vec::new();
-        let mut id = 0;
-        for src in 1..16 {
-            for _ in 0..4 {
-                id += 1;
-                ch.enqueue(pkt(id, src, 0, 0));
+        with_channel!(&cfg(Scheme::TokenSlot), 0, ch => {
+            let mut m = NetworkMetrics::new();
+            let mut d = Vec::new();
+            let mut id = 0;
+            for src in 1..16 {
+                for _ in 0..4 {
+                    id += 1;
+                    ch.enqueue(pkt(id, src, 0, 0));
+                }
             }
-        }
-        run(&mut ch, &mut m, &mut d, 0, 3000);
-        assert_eq!(d.len(), 60);
-        assert!(ch.is_drained());
-        assert_eq!(m.drops, 0, "credit reservation prevents drops");
+            run(ch, &mut m, &mut d, 0, 3000);
+            assert_eq!(d.len(), 60);
+            assert!(ch.is_drained());
+            assert_eq!(m.drops, 0, "credit reservation prevents drops");
+        });
     }
 
     #[test]
     fn token_channel_reimburses_credits() {
-        let mut ch = Channel::new(0, &cfg(Scheme::TokenChannel));
-        let mut m = NetworkMetrics::new();
-        let mut d = Vec::new();
-        // More packets than the 4 credits the token starts with.
-        for i in 0..20 {
-            ch.enqueue(pkt(i, 8, 0, 0));
-        }
-        run(&mut ch, &mut m, &mut d, 0, 3000);
-        assert_eq!(d.len(), 20, "credits must be reimbursed to finish");
-        assert!(ch.is_drained());
+        with_channel!(&cfg(Scheme::TokenChannel), 0, ch => {
+            let mut m = NetworkMetrics::new();
+            let mut d = Vec::new();
+            // More packets than the 4 credits the token starts with.
+            for i in 0..20 {
+                ch.enqueue(pkt(i, 8, 0, 0));
+            }
+            run(ch, &mut m, &mut d, 0, 3000);
+            assert_eq!(d.len(), 20, "credits must be reimbursed to finish");
+            assert!(ch.is_drained());
+        });
     }
 
     #[test]
@@ -1228,25 +1328,21 @@ mod tests {
         // One sender, many packets: basic DHS sends 1 per handshake round
         // trip; setaside pipelines them.
         let run_scheme = |scheme| {
-            let mut ch = Channel::new(0, &cfg(scheme));
-            let mut m = NetworkMetrics::new();
-            let mut d = Vec::new();
-            for i in 0..30 {
-                ch.enqueue(pkt(i, 8, 0, 0));
-            }
             let mut cycles = 0;
-            for now in 0..5000u64 {
-                ch.phase_advance();
-                ch.phase_arrival(now, &mut m);
-                ch.phase_acks(now, &mut m);
-                ch.phase_transmit(now, &mut m);
-                ch.phase_tokens(now, &mut m);
-                ch.phase_eject(now, &mut m, &mut d);
-                if d.len() == 30 {
-                    cycles = now;
-                    break;
+            with_channel!(&cfg(scheme), 0, ch => {
+                let mut m = NetworkMetrics::new();
+                let mut d = Vec::new();
+                for i in 0..30 {
+                    ch.enqueue(pkt(i, 8, 0, 0));
                 }
-            }
+                for now in 0..5000u64 {
+                    ch.step(now, &mut m, &mut d);
+                    if d.len() == 30 {
+                        cycles = now;
+                        break;
+                    }
+                }
+            });
             assert!(cycles > 0, "{scheme:?} never finished");
             cycles
         };
@@ -1262,13 +1358,15 @@ mod tests {
     fn ghs_holder_sends_back_to_back() {
         // A single GHS sender with setaside should stream packets once it
         // holds the token (1/cycle), unlike basic GHS.
-        let mut ch = Channel::new(0, &cfg(Scheme::Ghs { setaside: 4 }));
-        let mut m = NetworkMetrics::new();
-        let mut d = Vec::new();
-        for i in 0..4 {
-            ch.enqueue(pkt(i, 8, 0, 0));
-        }
-        run(&mut ch, &mut m, &mut d, 0, 40);
+        let d = with_channel!(&cfg(Scheme::Ghs { setaside: 4 }), 0, ch => {
+            let mut m = NetworkMetrics::new();
+            let mut d = Vec::new();
+            for i in 0..4 {
+                ch.enqueue(pkt(i, 8, 0, 0));
+            }
+            run(ch, &mut m, &mut d, 0, 40);
+            d
+        });
         assert_eq!(d.len(), 4);
         // Sends should be on consecutive cycles: check sent_at spacing.
         let mut sent: Vec<Cycle> = d.iter().map(|x| x.pkt.sent_at).collect();
@@ -1284,17 +1382,18 @@ mod tests {
         let run_with = |fairness| {
             let mut config = cfg(Scheme::Dhs { setaside: 4 });
             config.fairness = fairness;
-            let mut ch = Channel::new(0, &config);
-            let mut m = NetworkMetrics::new();
-            let mut d = Vec::new();
-            // Both senders keep a deep backlog for the whole horizon; the
-            // near node (distance 0) sees every token first.
-            for i in 0..300 {
-                ch.enqueue(pkt(i, 1, 0, 0)); // near (distance 0)
-                ch.enqueue(pkt(1000 + i, 15, 0, 0)); // far (distance 14)
-            }
-            run(&mut ch, &mut m, &mut d, 0, 150);
-            d.iter().filter(|x| x.pkt.src_node == 15).count()
+            with_channel!(&config, 0, ch => {
+                let mut m = NetworkMetrics::new();
+                let mut d = Vec::new();
+                // Both senders keep a deep backlog for the whole horizon;
+                // the near node (distance 0) sees every token first.
+                for i in 0..300 {
+                    ch.enqueue(pkt(i, 1, 0, 0)); // near (distance 0)
+                    ch.enqueue(pkt(1000 + i, 15, 0, 0)); // far (distance 14)
+                }
+                run(ch, &mut m, &mut d, 0, 150);
+                d.iter().filter(|x| x.pkt.src_node == 15).count()
+            })
         };
         let without = run_with(FairnessPolicy::None);
         let with = run_with(FairnessPolicy::SitOut {
@@ -1312,7 +1411,14 @@ mod tests {
     /// and woken by its next enqueue. No observer may tell them apart, and
     /// after a wake their complete states must be equal.
     fn check_sleep_is_unobservable(config: &NetworkConfig) -> u64 {
-        let mut stepped = Channel::new(0, config);
+        with_channel!(config, 0, ch => check_sleep_is_unobservable_on(ch, config))
+    }
+
+    fn check_sleep_is_unobservable_on<A: Arbiter + Clone, F: Flow + Clone>(
+        ch: &Channel<A, F>,
+        config: &NetworkConfig,
+    ) -> u64 {
+        let mut stepped = ch.clone();
         let mut sleepy = stepped.clone();
         let (mut ma, mut mb) = (NetworkMetrics::new(), NetworkMetrics::new());
         let (mut da, mut db) = (Vec::new(), Vec::new());
@@ -1320,13 +1426,14 @@ mod tests {
         let mut asleep = false;
         let mut slept = 0;
         let mut id = 0;
-        let same_state = |a: &Channel, b: &Channel, now, ka: &mut Vec<u64>, kb: &mut Vec<u64>| {
-            ka.clear();
-            kb.clear();
-            a.state_key(now, ka);
-            b.state_key(now, kb);
-            assert_eq!(ka, kb, "{:?} cycle {now}: states differ", config.scheme);
-        };
+        let same_state =
+            |a: &Channel<A, F>, b: &Channel<A, F>, now, ka: &mut Vec<u64>, kb: &mut Vec<u64>| {
+                ka.clear();
+                kb.clear();
+                a.state_key(now, ka);
+                b.state_key(now, kb);
+                assert_eq!(ka, kb, "{:?} cycle {now}: states differ", config.scheme);
+            };
         for now in 0..4_000u64 {
             // Bursts of one to three packets, 50–300 cycles apart.
             if now % 211 == 0 || now % 263 == 0 || now % 409 == 1 {
@@ -1396,24 +1503,25 @@ mod tests {
 
     #[test]
     fn audit_view_into_reuses_buffers() {
-        let mut ch = Channel::new(0, &cfg(Scheme::Dhs { setaside: 2 }));
-        let mut m = NetworkMetrics::new();
-        let mut d = Vec::new();
-        for i in 0..6 {
-            ch.enqueue(pkt(i, 4, 0, 0));
-        }
-        run(&mut ch, &mut m, &mut d, 0, 5);
-        let mut view = crate::audit::ChannelAuditView::default();
-        ch.audit_view_into(&mut view);
-        let fresh = ch.audit_view();
-        assert_eq!(view.queue_ids, fresh.queue_ids);
-        assert_eq!(view.unresolved_ids, fresh.unresolved_ids);
-        // Refill after more cycles: stale content must be fully replaced.
-        run(&mut ch, &mut m, &mut d, 5, 20);
-        ch.audit_view_into(&mut view);
-        let fresh = ch.audit_view();
-        assert_eq!(view.queue_ids, fresh.queue_ids);
-        assert_eq!(view.input_queue_ids, fresh.input_queue_ids);
-        assert_eq!(view.pending_acks, fresh.pending_acks);
+        with_channel!(&cfg(Scheme::Dhs { setaside: 2 }), 0, ch => {
+            let mut m = NetworkMetrics::new();
+            let mut d = Vec::new();
+            for i in 0..6 {
+                ch.enqueue(pkt(i, 4, 0, 0));
+            }
+            run(ch, &mut m, &mut d, 0, 5);
+            let mut view = crate::audit::ChannelAuditView::default();
+            ch.audit_view_into(&mut view);
+            let fresh = ch.audit_view();
+            assert_eq!(view.queue_ids, fresh.queue_ids);
+            assert_eq!(view.unresolved_ids, fresh.unresolved_ids);
+            // Refill after more cycles: stale content must be fully replaced.
+            run(ch, &mut m, &mut d, 5, 20);
+            ch.audit_view_into(&mut view);
+            let fresh = ch.audit_view();
+            assert_eq!(view.queue_ids, fresh.queue_ids);
+            assert_eq!(view.input_queue_ids, fresh.input_queue_ids);
+            assert_eq!(view.pending_acks, fresh.pending_acks);
+        });
     }
 }

@@ -1,10 +1,12 @@
 //! The handshake/credit FSMs behind a small step-relation trait, for
 //! bounded model checking.
 //!
-//! The checker (crate `pnoc-verify`) explores the *real* implementation —
-//! [`crate::channel::Channel`], not a re-modelled abstraction — so a proof
-//! over the model is a proof over the simulator. Two things make that
-//! tractable:
+//! The checker (crate `pnoc-verify`) explores the *real* implementation,
+//! not a re-modelled abstraction: [`ChannelModel`] builds its channel with
+//! [`Channels::new`] — the resolver [`crate::network::Network`] uses — and
+//! advances it with [`crate::channel::Channel::step`], so it runs exactly
+//! the monomorphized `Channel<A, F>` the network ships and a proof over the
+//! model is a proof over the simulator. Two things make that tractable:
 //!
 //! * [`CycleFsm::state_key`] produces a canonical, time-normalized encoding
 //!   of the complete dynamic state (every absolute cycle re-based against
@@ -22,8 +24,9 @@
 //! analysis on top of [`CycleFsm::drained`] and
 //! [`CycleFsm::unaccounted_packets`].
 
-use crate::channel::{Channel, Delivery};
+use crate::channel::{Channels, Delivery};
 use crate::config::{NetworkConfig, Scheme};
+use crate::for_channels;
 use crate::metrics::NetworkMetrics;
 use crate::packet::{Packet, PacketKind};
 use pnoc_sim::Cycle;
@@ -78,7 +81,8 @@ pub trait CycleFsm: Clone {
 /// network.
 #[derive(Debug, Clone)]
 pub struct ChannelModel {
-    ch: Channel,
+    /// The one channel under check (homed at `home`).
+    ch: Channels,
     now: Cycle,
     metrics: NetworkMetrics,
     /// Sender node ids that participate (everyone but the home).
@@ -114,7 +118,7 @@ impl ChannelModel {
             assert!(s < cfg.nodes && s != home, "bad sender {s}");
         }
         Self {
-            ch: Channel::new(home, cfg),
+            ch: Channels::new(cfg, [home]),
             now: 0,
             metrics: NetworkMetrics::new(),
             senders: active_senders.to_vec(),
@@ -131,7 +135,8 @@ impl ChannelModel {
     }
 
     /// Arm the intentional bug: duplicate suppression is disabled on every
-    /// subsequent cycle (see [`Channel::forget_accepted_ids`]).
+    /// subsequent cycle (see
+    /// [`crate::channel::Channel::forget_accepted_ids`]).
     pub fn sabotage_forget_accepted(&mut self) {
         self.sabotage_forget_accepted = true;
     }
@@ -174,7 +179,7 @@ impl CycleFsm for ChannelModel {
         key.push(u64::MAX);
         key.push(self.abandoned);
         key.push(self.destroyed);
-        self.ch.state_key(self.now, &mut key);
+        for_channels!(&self.ch, chs => chs[0].state_key(self.now, &mut key));
         key
     }
 
@@ -203,7 +208,7 @@ impl CycleFsm for ChannelModel {
             }
             let seq = self.initial - self.remaining[idx];
             let src = self.senders[idx];
-            self.ch.enqueue(Packet {
+            let pkt = Packet {
                 id: self.packet_id(idx, seq),
                 src_core: crate::convert::narrow_u32(src * 2),
                 src_node: crate::convert::narrow_u32(src),
@@ -216,24 +221,23 @@ impl CycleFsm for ChannelModel {
                 measured: false,
                 tag: 0,
                 class: 0,
-            });
+            };
+            for_channels!(&mut self.ch, chs => chs[0].enqueue(pkt));
             self.remaining[idx] -= 1;
             self.metrics.generated += 1;
         }
-        if self.sabotage_forget_accepted {
-            self.ch.forget_accepted_ids();
-        }
         let abandoned_before = self.metrics.abandoned;
         let destroyed_before = self.fault_destroyed();
-        self.scratch.clear();
         let now = self.now;
-        self.ch.phase_advance();
-        self.ch.phase_arrival(now, &mut self.metrics);
-        self.ch.phase_acks(now, &mut self.metrics);
-        self.ch.phase_transmit(now, &mut self.metrics);
-        self.ch.phase_tokens(now, &mut self.metrics);
         let mut scratch = std::mem::take(&mut self.scratch);
-        self.ch.phase_eject(now, &mut self.metrics, &mut scratch);
+        scratch.clear();
+        for_channels!(&mut self.ch, chs => {
+            let ch = &mut chs[0];
+            if self.sabotage_forget_accepted {
+                ch.forget_accepted_ids();
+            }
+            ch.step(now, &mut self.metrics, &mut scratch);
+        });
         self.now += 1;
         let mut events = CycleEvents::default();
         let mut duplicate = None;
@@ -253,14 +257,13 @@ impl CycleFsm for ChannelModel {
         events.destroyed = self.fault_destroyed() - destroyed_before;
         self.abandoned += events.abandoned;
         self.destroyed += events.destroyed;
-        self.ch
-            .try_check_invariants()
+        for_channels!(&self.ch, chs => chs[0].try_check_invariants())
             .map_err(|why| format!("cycle {now}: {why}"))?;
         Ok(events)
     }
 
     fn drained(&self) -> bool {
-        self.ch.is_drained()
+        for_channels!(&self.ch, chs => chs[0].is_drained())
     }
 
     fn pending_injections(&self) -> bool {

@@ -1,106 +1,14 @@
 //! The network orchestrator: all channels plus the injection pipeline.
 
 use crate::calendar::Calendar;
-use crate::channel::{Channel, Delivery};
-use crate::config::{NetworkConfig, Scheme};
+use crate::channel::{Channel, Channels, Delivery};
+use crate::config::NetworkConfig;
+use crate::for_channels;
 use crate::metrics::{NetworkMetrics, RunSummary};
 use crate::packet::{Packet, PacketKind};
-use crate::schemes::{
-    BitPlane, CirculationFlow, CreditFlow, DistributedArbiter, GlobalArbiter, HandshakeFlow,
-    SlotFlow,
-};
+use crate::schemes::BitPlane;
 use crate::sources::{InjectionRequest, TrafficSource};
 use pnoc_sim::{Clock, Cycle, RunPlan};
-
-/// Monomorphized channel storage: one variant per scheme family, each
-/// holding fully concrete `Channel<A, F>` values. The variant is chosen
-/// once in [`build_channels`]; every per-cycle loop then runs a compiled
-/// step body with both scheme layers inlined — the enum dispatch happens
-/// once per *phase sweep*, not once per channel per hook.
-#[derive(Debug)]
-enum Channels {
-    /// Token channel: global token carrying credits.
-    Credit(Vec<Channel<GlobalArbiter, CreditFlow>>),
-    /// GHS (± setaside): global token, ACK/NACK handshake.
-    GlobalHandshake(Vec<Channel<GlobalArbiter, HandshakeFlow>>),
-    /// Token slot: distributed tokens embodying buffer slots.
-    Slot(Vec<Channel<DistributedArbiter, SlotFlow>>),
-    /// DHS (± setaside): distributed tokens, ACK/NACK handshake.
-    DistHandshake(Vec<Channel<DistributedArbiter, HandshakeFlow>>),
-    /// DHS with circulation: distributed tokens, reinjection on overflow.
-    Circulation(Vec<Channel<DistributedArbiter, CirculationFlow>>),
-}
-
-/// Run `$body` with `$c` bound to whichever concrete channel vector the
-/// network holds. Each arm compiles separately, so `$body` monomorphizes
-/// per scheme family.
-macro_rules! for_channels {
-    ($chs:expr, $c:ident => $body:expr) => {
-        match $chs {
-            Channels::Credit($c) => $body,
-            Channels::GlobalHandshake($c) => $body,
-            Channels::Slot($c) => $body,
-            Channels::DistHandshake($c) => $body,
-            Channels::Circulation($c) => $body,
-        }
-    };
-}
-
-/// Resolve `cfg.scheme` into its monomorphized channel vector. Mirrors
-/// [`crate::schemes::build`] — the runtime-dispatched pairing and this
-/// concrete one must pick identical (arbiter, flow) states.
-fn build_channels(cfg: &NetworkConfig) -> Channels {
-    match cfg.scheme {
-        Scheme::TokenChannel => Channels::Credit(
-            (0..cfg.nodes)
-                .map(|h| {
-                    Channel::with_pipeline(
-                        h,
-                        cfg,
-                        GlobalArbiter::new(),
-                        CreditFlow::new(crate::convert::narrow_u32(cfg.input_buffer)),
-                    )
-                })
-                .collect(),
-        ),
-        Scheme::Ghs { setaside } => Channels::GlobalHandshake(
-            (0..cfg.nodes)
-                .map(|h| {
-                    Channel::with_pipeline(
-                        h,
-                        cfg,
-                        GlobalArbiter::new(),
-                        HandshakeFlow::new(cfg.ring_segments, setaside > 0),
-                    )
-                })
-                .collect(),
-        ),
-        Scheme::TokenSlot => Channels::Slot(
-            (0..cfg.nodes)
-                .map(|h| {
-                    Channel::with_pipeline(h, cfg, DistributedArbiter::new(), SlotFlow::default())
-                })
-                .collect(),
-        ),
-        Scheme::Dhs { setaside } => Channels::DistHandshake(
-            (0..cfg.nodes)
-                .map(|h| {
-                    Channel::with_pipeline(
-                        h,
-                        cfg,
-                        DistributedArbiter::new(),
-                        HandshakeFlow::new(cfg.ring_segments, setaside > 0),
-                    )
-                })
-                .collect(),
-        ),
-        Scheme::DhsCirculation => Channels::Circulation(
-            (0..cfg.nodes)
-                .map(|h| Channel::with_pipeline(h, cfg, DistributedArbiter::new(), CirculationFlow))
-                .collect(),
-        ),
-    }
-}
 
 /// A complete ring network: one MWSR channel per node, an injection-router
 /// pipeline, and run-level measurement.
@@ -164,7 +72,7 @@ impl Network {
         Ok(Self {
             cfg,
             clock: Clock::new(),
-            channels: build_channels(&cfg),
+            channels: Channels::new(&cfg, 0..cfg.nodes),
             awake: {
                 let mut all = BitPlane::new(cfg.nodes);
                 for ch in 0..cfg.nodes {
@@ -409,7 +317,7 @@ impl Network {
         if !self.auditor.due(now) {
             return;
         }
-        for_channels!(&self.channels, chs => for ch in chs.iter() {
+        for_channels!(&self.channels, chs => for ch in chs {
             if let Err(why) = ch.try_check_invariants() {
                 panic!("invariant auditor, cycle {now}, channel {}: {why}", ch.home());
             }
@@ -616,6 +524,7 @@ pub fn run_classed_point_detailed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Scheme;
     use crate::sources::SyntheticSource;
     use pnoc_traffic::pattern::TrafficPattern;
 

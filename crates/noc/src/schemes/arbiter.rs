@@ -11,19 +11,17 @@
 //!   and the closed-form sweep that catches a sleeping channel up;
 //! * [`DistributedArbiter`] — the oldest-first token queue, per-cycle
 //!   emission (gated by the flow layer), disjoint window sweeps, and the
-//!   full-stream fixed point an idle channel sleeps at;
-//! * [`ArbiterKind`] — the runtime dispatch wrapper for callers that pick
-//!   the scheme at runtime (the model checker, unit rigs); the network's
-//!   hot path monomorphizes over the concrete arbiters instead.
+//!   full-stream fixed point an idle channel sleeps at.
 //!
 //! Arbiters issue *grants* (via [`crate::outqueue::OutQueue::take_grant`])
 //! and refresh the channel's predicate bit-planes; everything about buffer
 //! space lives in [`super::flow`]. The two layers meet at narrow hooks
 //! ([`Flow::has_credit`], [`Flow::may_emit`], …) so a new scheme
 //! combination is a new pairing, not a new `Channel`. The sweep loops are
-//! generic over [`Flow`], so a monomorphized channel compiles them with the
-//! concrete flow's hooks inlined — the per-cycle path has zero enum
-//! dispatch.
+//! generic over [`Flow`], and every channel is built over a concrete
+//! pairing ([`crate::channel::Channels::new`]), so the sweep loops compile
+//! with the concrete flow's hooks inlined — the per-cycle path has zero
+//! enum dispatch.
 
 use crate::config::FairnessPolicy;
 use crate::metrics::NetworkMetrics;
@@ -452,59 +450,6 @@ impl Arbiter for DistributedArbiter {
         // recurring channel states key identically.
         for age in self.tokens.iter_oldest_first() {
             out.push(age as u64);
-        }
-    }
-}
-
-/// Runtime arbitration dispatch for callers that pick the scheme at
-/// runtime (the bounded model checker, unit rigs). The network's hot path
-/// uses the concrete arbiters directly — see the module docs.
-#[derive(Debug, Clone)]
-pub enum ArbiterKind {
-    /// One token relayed among all senders (token channel, GHS).
-    Global(GlobalArbiter),
-    /// A stream of tokens swept from the home (token slot, DHS variants).
-    Distributed(DistributedArbiter),
-}
-
-impl Arbiter for ArbiterKind {
-    #[inline]
-    fn step<F: Flow>(&mut self, flow: &mut F, cx: &mut TokenCx<'_>, m: &mut NetworkMetrics) {
-        match self {
-            ArbiterKind::Global(g) => g.step(flow, cx, m),
-            ArbiterKind::Distributed(d) => d.step(flow, cx, m),
-        }
-    }
-
-    #[inline]
-    fn idle_fixed_point<F: Flow>(&self, flow: &F, nodes: usize, step: usize, cap: usize) -> bool {
-        match self {
-            ArbiterKind::Global(g) => g.idle_fixed_point(flow, nodes, step, cap),
-            ArbiterKind::Distributed(d) => d.idle_fixed_point(flow, nodes, step, cap),
-        }
-    }
-
-    #[inline]
-    fn idle_advance<F: Flow>(&mut self, flow: &mut F, cycles: u64, nodes: usize, step: usize) {
-        match self {
-            ArbiterKind::Global(g) => g.idle_advance(flow, cycles, nodes, step),
-            ArbiterKind::Distributed(d) => d.idle_advance(flow, cycles, nodes, step),
-        }
-    }
-
-    #[inline]
-    fn outstanding_tokens(&self) -> usize {
-        match self {
-            ArbiterKind::Global(g) => g.outstanding_tokens(),
-            ArbiterKind::Distributed(d) => d.outstanding_tokens(),
-        }
-    }
-
-    #[inline]
-    fn state_key_into(&self, now: Cycle, credits_word: u64, out: &mut Vec<u64>) {
-        match self {
-            ArbiterKind::Global(g) => g.state_key_into(now, credits_word, out),
-            ArbiterKind::Distributed(d) => d.state_key_into(now, credits_word, out),
         }
     }
 }

@@ -14,16 +14,14 @@
 //! * [`HandshakeFlow`] — GHS/DHS: the ACK/NACK calendar, sender-side
 //!   retransmit timers, and the accepted-id set for duplicate suppression;
 //! * [`CirculationFlow`] — DHS with circulation: no handshake, no
-//!   reservation — a full home reinjects the flit into its own channel;
-//! * [`FlowKind`] — the runtime dispatch wrapper over the four, for
-//!   callers that hold a scheme chosen at runtime (the bounded model
-//!   checker, unit rigs).
+//!   reservation — a full home reinjects the flit into its own channel.
 //!
-//! Every concrete flow implements the [`Flow`] trait. The hot path never
-//! sees `FlowKind`: [`crate::network::Network`] builds each channel as a
-//! monomorphized `Channel<A, F>` over the concrete pairing, so the per-cycle
-//! hooks below inline with zero enum dispatch — a hook that is a no-op for
-//! the scheme (most of them are, for most schemes) folds away entirely.
+//! Every concrete flow implements the [`Flow`] trait, and every channel —
+//! the network's, the model checker's and the unit rigs' alike — is a
+//! monomorphized `Channel<A, F>` over a concrete pairing
+//! ([`crate::channel::Channels::new`]), so the per-cycle hooks below inline
+//! with zero enum dispatch — a hook that is a no-op for the scheme (most of
+//! them are, for most schemes) folds away entirely.
 //!
 //! The arbiter side of a scheme (who may transmit next) lives in
 //! [`super::arbiter`]; a [`crate::channel::Channel`] composes one of each.
@@ -711,171 +709,5 @@ impl Flow for CirculationFlow {
                 EventKind::Circulate,
             );
         }
-    }
-}
-
-/// Runtime flow-control dispatch for callers that pick the scheme at
-/// runtime (the bounded model checker, unit rigs). The network's hot path
-/// uses the concrete types directly — see the module docs.
-#[derive(Debug, Clone)]
-pub enum FlowKind {
-    /// Token channel: credits ride the global token.
-    Credit(CreditFlow),
-    /// Token slot: one distributed token = one committed buffer slot.
-    Slot(SlotFlow),
-    /// GHS/DHS: ACK/NACK handshake with optional setaside buffers.
-    Handshake(HandshakeFlow),
-    /// DHS with circulation: no handshake, no reservation.
-    Circulation(CirculationFlow),
-}
-
-/// Delegate one `Flow` call to whichever concrete flow the kind wraps.
-macro_rules! each_flow {
-    ($self:expr, $f:ident => $body:expr) => {
-        match $self {
-            FlowKind::Credit($f) => $body,
-            FlowKind::Slot($f) => $body,
-            FlowKind::Handshake($f) => $body,
-            FlowKind::Circulation($f) => $body,
-        }
-    };
-}
-
-impl Flow for FlowKind {
-    #[inline]
-    fn handshake(&self) -> Option<&HandshakeFlow> {
-        each_flow!(self, f => f.handshake())
-    }
-
-    #[inline]
-    fn handshake_mut(&mut self) -> Option<&mut HandshakeFlow> {
-        each_flow!(self, f => f.handshake_mut())
-    }
-
-    #[inline]
-    fn has_credit(&self) -> bool {
-        each_flow!(self, f => f.has_credit())
-    }
-
-    #[inline]
-    fn spend_credit(&mut self) {
-        each_flow!(self, f => f.spend_credit());
-    }
-
-    #[inline]
-    fn on_grant(&mut self) {
-        each_flow!(self, f => f.on_grant());
-    }
-
-    #[inline]
-    fn on_home_pass(&mut self) {
-        each_flow!(self, f => f.on_home_pass());
-    }
-
-    #[inline]
-    fn on_slot_freed(&mut self) {
-        each_flow!(self, f => f.on_slot_freed());
-    }
-
-    #[inline]
-    fn on_sweeping_token_lost(&mut self, m: &mut NetworkMetrics) {
-        each_flow!(self, f => f.on_sweeping_token_lost(m));
-    }
-
-    #[inline]
-    fn on_tokens_destroyed(&mut self, destroyed: usize, m: &mut NetworkMetrics) {
-        each_flow!(self, f => f.on_tokens_destroyed(destroyed, m));
-    }
-
-    #[inline]
-    fn may_emit(
-        &self,
-        buffered: usize,
-        tokens_out: usize,
-        buffer_cap: usize,
-        suppressed: bool,
-    ) -> bool {
-        each_flow!(self, f => f.may_emit(buffered, tokens_out, buffer_cap, suppressed))
-    }
-
-    #[inline]
-    fn on_data_lost(&mut self, m: &mut NetworkMetrics) {
-        each_flow!(self, f => f.on_data_lost(m));
-    }
-
-    #[inline]
-    fn on_data_corrupt(&mut self, flit: &FlitRef, handshake_delay: Cycle) {
-        each_flow!(self, f => f.on_data_corrupt(flit, handshake_delay));
-    }
-
-    #[inline]
-    fn accept(&mut self, pkt: Packet, cx: &mut ArrivalCx<'_>, m: &mut NetworkMetrics) {
-        each_flow!(self, f => f.accept(pkt, cx, m));
-    }
-
-    #[inline]
-    fn phase_acks(
-        &mut self,
-        now: Cycle,
-        home: usize,
-        senders: &mut [OutQueue<PacketRef>],
-        arena: &mut PacketArena,
-        dist_of: &[usize],
-        planes: &mut Planes,
-        queued_total: &mut usize,
-        injector: Option<&mut ChannelInjector>,
-        recovery: &RecoveryConfig,
-        handshake_delay: Cycle,
-        m: &mut NetworkMetrics,
-    ) {
-        each_flow!(self, f => Flow::phase_acks(
-            f,
-            now,
-            home,
-            senders,
-            arena,
-            dist_of,
-            planes,
-            queued_total,
-            injector,
-            recovery,
-            handshake_delay,
-            m,
-        ));
-    }
-
-    #[inline]
-    fn is_idle(&self) -> bool {
-        each_flow!(self, f => f.is_idle())
-    }
-
-    #[inline]
-    fn pending_acks(&self) -> usize {
-        each_flow!(self, f => f.pending_acks())
-    }
-
-    #[inline]
-    fn credits(&self) -> Option<u32> {
-        each_flow!(self, f => f.credits())
-    }
-
-    #[inline]
-    fn uncommitted(&self) -> u32 {
-        each_flow!(self, f => f.uncommitted())
-    }
-
-    #[inline]
-    fn inflight(&self) -> u32 {
-        each_flow!(self, f => f.inflight())
-    }
-
-    #[inline]
-    fn lost_reservations(&self) -> u32 {
-        each_flow!(self, f => f.lost_reservations())
-    }
-
-    #[inline]
-    fn leaked_credits(&self) -> u32 {
-        each_flow!(self, f => f.leaked_credits())
     }
 }

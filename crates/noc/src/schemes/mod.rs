@@ -13,14 +13,14 @@
 //! | DHS (± setaside)    | [`DistributedArbiter`] (stream)   | [`HandshakeFlow`]   |
 //! | DHS w/ circulation  | [`DistributedArbiter`] (stream)   | [`CirculationFlow`] |
 //!
-//! [`build`] resolves a [`Scheme`] into an ([`ArbiterKind`], [`FlowKind`])
-//! pair exactly once, when a runtime-dispatched channel is constructed (the
-//! model checker, unit rigs). The network's hot path goes further: it
-//! monomorphizes [`crate::channel::Channel`] over the concrete pairing, so
-//! the per-cycle phase bodies compile with both layers' hooks inlined and
-//! zero enum dispatch — adding a scheme variant means writing (or reusing)
-//! one arbiter and one flow implementation, not editing every phase of a
-//! monolithic channel.
+//! [`crate::channel::Channels::new`] is the one place a
+//! [`crate::config::Scheme`] becomes a concrete pairing: every channel —
+//! the network's, the model checker's and the unit rigs' — is a
+//! [`crate::channel::Channel`] monomorphized over it, so the per-cycle
+//! phase bodies compile with both layers' hooks inlined and zero enum
+//! dispatch. Adding a scheme variant means writing (or reusing) one
+//! arbiter and one flow implementation and naming the pairing there, not
+//! editing every phase of a monolithic channel.
 //!
 //! The layers meet only at the narrow hooks on [`Flow`]
 //! (`has_credit`/`spend_credit` for credit-gated grants, `may_emit` for
@@ -36,43 +36,16 @@ pub mod bitplane;
 pub mod flow;
 
 pub use admission::AdmissionCtl;
-pub use arbiter::{
-    Arbiter, ArbiterKind, DistributedArbiter, GlobalArbiter, GlobalTokenState, TokenCx,
-};
+pub use arbiter::{Arbiter, DistributedArbiter, GlobalArbiter, GlobalTokenState, TokenCx};
 pub use bitplane::{BitPlane, ClassPlanes, Planes, SortedIdSet};
-pub use flow::{
-    AckEvent, ArrivalCx, CirculationFlow, CreditFlow, Flow, FlowKind, HandshakeFlow, SlotFlow,
-};
-
-use crate::config::{NetworkConfig, Scheme};
-
-/// Resolve `cfg.scheme` into its arbitration/flow-control pairing. Called
-/// once per channel at construction; the runtime-dispatched channel matches
-/// on the returned enum variants, the monomorphized network destructures
-/// them into concrete types.
-pub fn build(cfg: &NetworkConfig) -> (ArbiterKind, FlowKind) {
-    let arbiter = if cfg.scheme.is_global() {
-        ArbiterKind::Global(GlobalArbiter::new())
-    } else {
-        ArbiterKind::Distributed(DistributedArbiter::new())
-    };
-    let flow = match cfg.scheme {
-        Scheme::TokenChannel => FlowKind::Credit(CreditFlow::new(crate::convert::narrow_u32(
-            cfg.input_buffer,
-        ))),
-        Scheme::TokenSlot => FlowKind::Slot(SlotFlow::default()),
-        Scheme::Ghs { setaside } | Scheme::Dhs { setaside } => {
-            FlowKind::Handshake(HandshakeFlow::new(cfg.ring_segments, setaside > 0))
-        }
-        Scheme::DhsCirculation => FlowKind::Circulation(CirculationFlow),
-    };
-    (arbiter, flow)
-}
+pub use flow::{AckEvent, ArrivalCx, CirculationFlow, CreditFlow, Flow, HandshakeFlow, SlotFlow};
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::FairnessPolicy;
+    use crate::channel::{Channel, Channels};
+    use crate::config::{FairnessPolicy, NetworkConfig, Scheme};
+    use crate::for_channels;
     use crate::metrics::NetworkMetrics;
     use crate::outqueue::{OutQueue, SendMode};
     use crate::packet::{Packet, PacketArena, PacketKind, PacketRef};
@@ -164,16 +137,20 @@ mod tests {
     #[test]
     fn build_pairs_every_scheme_correctly() {
         let check = |scheme: Scheme, global: bool| {
-            let cfg = NetworkConfig::small(scheme);
-            let (a, f) = build(&cfg);
-            assert_eq!(matches!(a, ArbiterKind::Global(_)), global, "{scheme:?}");
+            let chs = Channels::new(&NetworkConfig::small(scheme), [3, 1]);
+            let homes = for_channels!(&chs, c => c.iter().map(Channel::home).collect::<Vec<_>>());
+            assert_eq!(homes, [3, 1], "{scheme:?}: one channel per home, in order");
+            assert_eq!(
+                matches!(chs, Channels::Credit(_) | Channels::GlobalHandshake(_)),
+                global,
+                "{scheme:?}"
+            );
             match scheme {
-                Scheme::TokenChannel => assert!(matches!(f, FlowKind::Credit(_))),
-                Scheme::TokenSlot => assert!(matches!(f, FlowKind::Slot(_))),
-                Scheme::Ghs { .. } | Scheme::Dhs { .. } => {
-                    assert!(matches!(f, FlowKind::Handshake(_)));
-                }
-                Scheme::DhsCirculation => assert!(matches!(f, FlowKind::Circulation(_))),
+                Scheme::TokenChannel => assert!(matches!(chs, Channels::Credit(_))),
+                Scheme::TokenSlot => assert!(matches!(chs, Channels::Slot(_))),
+                Scheme::Ghs { .. } => assert!(matches!(chs, Channels::GlobalHandshake(_))),
+                Scheme::Dhs { .. } => assert!(matches!(chs, Channels::DistHandshake(_))),
+                Scheme::DhsCirculation => assert!(matches!(chs, Channels::Circulation(_))),
             }
         };
         for scheme in Scheme::paper_set(4) {
@@ -187,7 +164,7 @@ mod tests {
         // concurrent commitments; an idle network just recycles them.
         let mut rig = Rig::new(SendMode::Forget);
         let mut d = DistributedArbiter::new();
-        let mut f = FlowKind::Slot(SlotFlow::default());
+        let mut f = SlotFlow::default();
         let mut m = NetworkMetrics::new();
         for now in 0..32u64 {
             let mut cx = rig.cx(now);
@@ -202,7 +179,7 @@ mod tests {
         // of them (a token lives segments = nodes/step = 4 cycles).
         let mut rig = Rig::new(SendMode::Forget);
         let mut d = DistributedArbiter::new();
-        let mut f = FlowKind::Handshake(HandshakeFlow::new(4, false));
+        let mut f = HandshakeFlow::new(4, false);
         for now in 0..32u64 {
             let mut cx = rig.cx(now);
             d.step(&mut f, &mut cx, &mut m);
@@ -216,7 +193,7 @@ mod tests {
         // on_slot_freed, and watch them return only when the sweep wraps.
         let mut rig = Rig::new(SendMode::Forget);
         let mut g = GlobalArbiter::new();
-        let mut f = FlowKind::Credit(CreditFlow::new(2));
+        let mut f = CreditFlow::new(2);
         let mut m = NetworkMetrics::new();
         rig.enqueue(pkt(1, 2));
         rig.enqueue(pkt(2, 2));
@@ -249,9 +226,9 @@ mod tests {
     #[test]
     fn global_token_without_credits_never_blocks() {
         // GHS: the token carries nothing, so has_credit is always true.
-        let f = FlowKind::Handshake(HandshakeFlow::new(4, false));
+        let f = HandshakeFlow::new(4, false);
         assert!(f.has_credit());
-        let f = FlowKind::Credit(CreditFlow::new(0));
+        let f = CreditFlow::new(0);
         assert!(!f.has_credit(), "an empty token channel must block");
     }
 
@@ -267,8 +244,8 @@ mod tests {
         rig_scan.planes.sendable.set(14, true);
         let mut a_idle = DistributedArbiter::new();
         let mut a_scan = DistributedArbiter::new();
-        let mut f_idle = FlowKind::Handshake(HandshakeFlow::new(4, false));
-        let mut f_scan = FlowKind::Handshake(HandshakeFlow::new(4, false));
+        let mut f_idle = HandshakeFlow::new(4, false);
+        let mut f_scan = HandshakeFlow::new(4, false);
         let mut m = NetworkMetrics::new();
         for now in 0..40u64 {
             let mut cx = rig_idle.cx(now);
@@ -314,7 +291,7 @@ mod tests {
     fn full_token_streams_are_idle_fixed_points() {
         // A DHS stream fills within one loop and then stands still; a
         // token slot with fewer buffer slots than a full stream never does.
-        let run = |flow: &mut FlowKind, cap: usize| {
+        fn run<F: Flow>(flow: &mut F, cap: usize) -> Vec<(bool, bool)> {
             let mut rig = Rig::new(SendMode::Forget);
             let mut d = DistributedArbiter::new();
             let mut m = NetworkMetrics::new();
@@ -327,14 +304,14 @@ mod tests {
                 fixed.push((d.idle_fixed_point(flow, 16, 4, cap), before == d.tokens));
             }
             fixed
-        };
-        let dhs = run(&mut FlowKind::Handshake(HandshakeFlow::new(4, false)), 4);
+        }
+        let dhs = run(&mut HandshakeFlow::new(4, false), 4);
         assert!(dhs[4..].iter().all(|&(fixed, _)| fixed), "DHS settles");
         // Where the predicate holds, the next idle step changes nothing.
         for w in dhs.windows(2) {
             assert!(!w[0].0 || w[1].1, "a fixed point moved: {dhs:?}");
         }
-        let slot = run(&mut FlowKind::Slot(SlotFlow::default()), 2);
+        let slot = run(&mut SlotFlow::default(), 2);
         assert!(
             slot.iter().all(|&(fixed, _)| !fixed),
             "a short token slot never settles"

@@ -329,10 +329,12 @@ impl SwmrNetwork {
         id
     }
 
-    /// Whether everything has drained.
+    /// Whether everything has drained, including credit returns still
+    /// travelling back to their senders.
     pub fn is_drained(&self) -> bool {
         self.inject_cal.pending() == 0
             && self.acks.pending() == 0
+            && self.credits_in.pending() == 0
             && self
                 .channels
                 .iter()
@@ -651,6 +653,26 @@ mod tests {
             assert_eq!(d.pkt.dst_node, 7);
             assert_eq!(d.pkt.tag, 9);
             assert!(net.is_drained() || net.metrics().delivered == 1);
+        }
+    }
+
+    #[test]
+    fn drained_means_every_credit_is_home() {
+        // A credit return still travelling back to its sender is in-flight
+        // state: the fabric is not drained until it lands.
+        let mut net = SwmrNetwork::new(small(SwmrFlowControl::PartitionedCredit)).unwrap();
+        let initial: Vec<Vec<u32>> = net.channels.iter().map(|c| c.credits.clone()).collect();
+        net.inject(2, 7, PacketKind::Data, 0, true);
+        let mut guard = 1_000;
+        net.step();
+        while !net.is_drained() && guard > 0 {
+            net.step();
+            guard -= 1;
+        }
+        assert!(net.is_drained(), "the packet never drained");
+        assert_eq!(net.metrics().delivered, 1);
+        for (s, ch) in net.channels.iter().enumerate() {
+            assert_eq!(ch.credits, initial[s], "sender {s} is missing credits");
         }
     }
 

@@ -6,7 +6,8 @@
 //! in the paper's 8-cycle ring) — whereas under handshake the token carries
 //! no credits, so S2 waits only for the token relay (8 cycles in Fig. 4).
 
-use pnoc_noc::channel::Channel;
+use pnoc_noc::channel::Channels;
+use pnoc_noc::for_channels;
 use pnoc_noc::metrics::NetworkMetrics;
 use pnoc_noc::packet::{Packet, PacketKind};
 use pnoc_noc::{NetworkConfig, Scheme};
@@ -31,27 +32,24 @@ fn pkt(id: u64, src: usize) -> Packet {
 /// Run one channel until S2's first transmission; return that cycle.
 fn s2_first_send(scheme: Scheme) -> u64 {
     let cfg = NetworkConfig::paper_default(scheme); // 64 nodes, R=8, B=8
-    let mut ch = Channel::new(0, &cfg);
-    let mut m = NetworkMetrics::new();
-    let mut deliveries = Vec::new();
-    let s1 = 8usize; // distance 7 from home
-    let s2 = 24usize; // distance 23, downstream of S1
-                      // S1 floods (more than the 8 credits the token carries), S2 has one.
-    for i in 0..12 {
-        ch.enqueue(pkt(i, s1));
-    }
-    ch.enqueue(pkt(100, s2));
-    for now in 0..400u64 {
-        ch.phase_advance();
-        ch.phase_arrival(now, &mut m);
-        ch.phase_acks(now, &mut m);
-        ch.phase_transmit(now, &mut m);
-        ch.phase_tokens(now, &mut m);
-        ch.phase_eject(now, &mut m, &mut deliveries);
-        if let Some(d) = deliveries.iter().find(|d| d.pkt.id == 100) {
-            return d.pkt.sent_at;
+    for_channels!(&mut Channels::new(&cfg, [0]), chs => {
+        let ch = &mut chs[0];
+        let mut m = NetworkMetrics::new();
+        let mut deliveries = Vec::new();
+        let s1 = 8usize; // distance 7 from home
+        let s2 = 24usize; // distance 23, downstream of S1
+        // S1 floods (more than the 8 credits the token carries), S2 has one.
+        for i in 0..12 {
+            ch.enqueue(pkt(i, s1));
         }
-    }
+        ch.enqueue(pkt(100, s2));
+        for now in 0..400u64 {
+            ch.step(now, &mut m, &mut deliveries);
+            if let Some(d) = deliveries.iter().find(|d| d.pkt.id == 100) {
+                return d.pkt.sent_at;
+            }
+        }
+    });
     panic!("{scheme:?}: S2 never transmitted");
 }
 
@@ -90,24 +88,21 @@ fn s2_wait_is_credit_independent_under_handshake() {
     let wait_with = |scheme: Scheme, credits: usize, s1_backlog: u64| {
         let mut cfg = NetworkConfig::paper_default(scheme);
         cfg.input_buffer = credits;
-        let mut ch = Channel::new(0, &cfg);
-        let mut m = NetworkMetrics::new();
-        let mut deliveries = Vec::new();
-        for i in 0..s1_backlog {
-            ch.enqueue(pkt(i, 8));
-        }
-        ch.enqueue(pkt(100, 24));
-        for now in 0..600u64 {
-            ch.phase_advance();
-            ch.phase_arrival(now, &mut m);
-            ch.phase_acks(now, &mut m);
-            ch.phase_transmit(now, &mut m);
-            ch.phase_tokens(now, &mut m);
-            ch.phase_eject(now, &mut m, &mut deliveries);
-            if let Some(d) = deliveries.iter().find(|d| d.pkt.id == 100) {
-                return d.pkt.sent_at;
+        for_channels!(&mut Channels::new(&cfg, [0]), chs => {
+            let ch = &mut chs[0];
+            let mut m = NetworkMetrics::new();
+            let mut deliveries = Vec::new();
+            for i in 0..s1_backlog {
+                ch.enqueue(pkt(i, 8));
             }
-        }
+            ch.enqueue(pkt(100, 24));
+            for now in 0..600u64 {
+                ch.step(now, &mut m, &mut deliveries);
+                if let Some(d) = deliveries.iter().find(|d| d.pkt.id == 100) {
+                    return d.pkt.sent_at;
+                }
+            }
+        });
         panic!("S2 never transmitted");
     };
     // Token channel: S1's greedy burst is capped by the credit count, so

@@ -3,7 +3,8 @@
 //! accounting — credit schemes never overflow the buffer, handshake schemes
 //! drop-and-retransmit, circulation recirculates, and nothing is ever lost.
 
-use pnoc_noc::channel::Channel;
+use pnoc_noc::channel::Channels;
+use pnoc_noc::for_channels;
 use pnoc_noc::metrics::NetworkMetrics;
 use pnoc_noc::packet::{Packet, PacketKind};
 use pnoc_noc::{NetworkConfig, Scheme};
@@ -52,39 +53,37 @@ proptest! {
     ) {
         let mut cfg = NetworkConfig::small(scheme); // 16 nodes, 4 segments
         cfg.input_buffer = buffer;
-        let mut ch = Channel::new(0, &cfg);
-        let mut m = NetworkMetrics::new();
-        let mut deliveries = Vec::new();
-        let mut rng = SimRng::seed_from(seed);
+        let (m, deliveries, drained) = for_channels!(&mut Channels::new(&cfg, [0]), chs => {
+            let ch = &mut chs[0];
+            let mut m = NetworkMetrics::new();
+            let mut deliveries = Vec::new();
+            let mut rng = SimRng::seed_from(seed);
 
-        // 3 senders × 10 packets into channel 0.
-        let mut id = 0;
-        for src in [3usize, 8, 14] {
-            for _ in 0..10 {
-                ch.enqueue(pkt(id, src, 0));
-                id += 1;
+            // 3 senders × 10 packets into channel 0.
+            let mut id = 0;
+            for src in [3usize, 8, 14] {
+                for _ in 0..10 {
+                    ch.enqueue(pkt(id, src, 0));
+                    id += 1;
+                }
             }
-        }
 
-        let mut now = 0u64;
-        let horizon = 60_000u64;
-        while now < horizon && !(ch.is_drained() && deliveries.len() == 30) {
-            ch.set_ejection_per_cycle(if rng.chance(stall_p) { 0 } else { 1 });
-            ch.phase_advance();
-            ch.phase_arrival(now, &mut m);
-            ch.phase_acks(now, &mut m);
-            ch.phase_transmit(now, &mut m);
-            ch.phase_tokens(now, &mut m);
-            ch.phase_eject(now, &mut m, &mut deliveries);
-            ch.check_invariants();
-            prop_assert!(
-                ch.buffer_occupancy() <= buffer,
-                "buffer overflow under stall"
-            );
-            now += 1;
-        }
+            let mut now = 0u64;
+            let horizon = 60_000u64;
+            while now < horizon && !(ch.is_drained() && deliveries.len() == 30) {
+                ch.set_ejection_per_cycle(if rng.chance(stall_p) { 0 } else { 1 });
+                ch.step(now, &mut m, &mut deliveries);
+                ch.check_invariants();
+                prop_assert!(
+                    ch.buffer_occupancy() <= buffer,
+                    "buffer overflow under stall"
+                );
+                now += 1;
+            }
+            (m, deliveries, ch.is_drained())
+        });
         prop_assert_eq!(deliveries.len(), 30, "{:?} lost packets", scheme);
-        prop_assert!(ch.is_drained(), "{:?} failed to drain", scheme);
+        prop_assert!(drained, "{:?} failed to drain", scheme);
 
         // No duplicates.
         let mut ids: Vec<u64> = deliveries.iter().map(|d| d.pkt.id).collect();

@@ -17,10 +17,10 @@
 //!   ([`pnoc_noc::SyntheticSource`], `pnoc-traffic` patterns), and the
 //!   `pnoc-faults` injector (both simulators must see the *same* fault
 //!   schedule for a diff to mean anything);
-//! * **not** shared: `Channel`, the scheme pipeline
-//!   (`ArbiterKind`/`FlowKind`), `OutQueue`, `SendableSet`, `Calendar`,
-//!   `SlotRing` — every piece of per-cycle machinery is reimplemented here
-//!   as straight-line interpreters over plain `Vec`s.
+//! * **not** shared: `Channel`/`Channels`, the scheme pipeline (the
+//!   `Arbiter` and `Flow` implementations), `OutQueue`, `SendableSet`,
+//!   `Calendar`, `SlotRing` — every piece of per-cycle machinery is
+//!   reimplemented here as straight-line interpreters over plain `Vec`s.
 //!
 //! One interpreter per scheme family lives in its own module:
 //! [`credit`] (token channel), [`slot`] (token slot), [`handshake`]

@@ -12,10 +12,12 @@
 //!    a reviewable diff.
 //! 2. **Bounded model checking** ([`checker`], [`scenarios`]) — exhaustive
 //!    exploration of the *real* [`pnoc_noc::channel::Channel`] (via
-//!    [`pnoc_noc::ChannelModel`]) for small configurations of every
-//!    scheme, proving deadlock-freedom, exactly-once delivery and bounded
-//!    handshake resolution under deterministic budgeted fault schedules,
-//!    with concrete counterexample schedules on violation.
+//!    [`pnoc_noc::ChannelModel`], which builds it with the same
+//!    [`pnoc_noc::channel::Channels::new`] resolver `Network` uses) for
+//!    small configurations of every scheme, proving deadlock-freedom,
+//!    exactly-once delivery and bounded handshake resolution under
+//!    deterministic budgeted fault schedules, with concrete counterexample
+//!    schedules on violation.
 //! 3. **Runtime invariant audit** ([`audits`]) — the cycle-level
 //!    [`pnoc_noc::InvariantAuditor`] (flit conservation, buffer bounds,
 //!    credit/token conservation, ACK pairing) driven over full mixed-traffic
